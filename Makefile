@@ -141,18 +141,20 @@ bench-all: bench-rules bench-scan bench-check bench-plan bench-serve bench-fleet
 # One-iteration pass over the recorded benchmark families so CI catches
 # bench bit-rot without paying for stable measurements.
 bench-smoke:
-	$(GO) test -run '^$$' -bench='BatchScan|RuleInference|DetectorCheck|ProfileCheck|PlanCheck|PlanColdStart|IncrementalInfer|FleetScan/images=1000' \
+	$(GO) test -run '^$$' -bench='BatchScan|RuleInference|DetectorCheck|ProfileCheck|PlanCheck|PlanColdStart|IncrementalInfer|FleetScan/images=1000|ImageDecode' \
 		-benchtime 1x -benchmem . >/dev/null
 	$(GO) test -run '^$$' -bench=ServeScan -benchtime 1x -benchmem ./internal/serve >/dev/null
 	@echo "bench-smoke: benchmarks build and run OK"
 
-# Short fuzz pass over each config-parser dialect (seed corpus always
-# runs as part of tier 1; this explores beyond it).
+# Short fuzz pass over each config-parser dialect, the binary plan decoder
+# and the image decoder (seed corpora always run as part of tier 1; this
+# explores beyond them).
 fuzz:
 	$(GO) test ./internal/confparse -fuzz FuzzApacheParse -fuzztime 10s
 	$(GO) test ./internal/confparse -fuzz FuzzINIParse -fuzztime 10s
 	$(GO) test ./internal/confparse -fuzz FuzzSSHDParse -fuzztime 10s
 	$(GO) test ./internal/planio -fuzz FuzzPlanDecode -fuzztime 10s
+	$(GO) test ./internal/sysimage -fuzz FuzzLoadJSON -fuzztime 10s
 
 fmt:
 	gofmt -l .

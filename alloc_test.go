@@ -8,13 +8,14 @@ import (
 )
 
 // Allocation ceilings for the per-image hot path. Measured steady-state
-// costs are ~64 allocs for Plan.Check (mysql corpus image) and ~193 for
+// costs are ~64 allocs for Plan.Check (mysql corpus image) and ~49 for
 // LoadJSON of a ~5KB snapshot; the ceilings leave roughly 2x headroom for
 // legitimate growth while still catching a re-bloat of the scan path (the
-// legacy per-image Check ran at ~700 allocs).
+// legacy per-image Check ran at ~700 allocs, and LoadJSON's encoding/json
+// fallback runs at ~193).
 const (
 	maxPlanCheckAllocs = 150
-	maxLoadJSONAllocs  = 400
+	maxLoadJSONAllocs  = 100
 	// Binary plan decode of a learned 30-image mysql plan sits around ~260
 	// allocations once the string interner is warm (one per histogram slice
 	// and rule, plus the spec scaffolding); 600 leaves ~2x headroom while

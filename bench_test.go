@@ -811,3 +811,33 @@ func BenchmarkIncrementalInfer(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkImageDecode measures sysimage.LoadJSON, the decode layer in
+// front of every learn and scan, over 32 distinct canonical images per app
+// (one op decodes one image). SetBytes makes MB/s the input throughput.
+func BenchmarkImageDecode(b *testing.B) {
+	for _, app := range []string{"apache", "mysql", "php", "sshd"} {
+		b.Run(app, func(b *testing.B) {
+			images, err := corpus.Training(app, 32, benchSeed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			docs := make([][]byte, len(images))
+			total := 0
+			for i, im := range images {
+				if docs[i], err = im.MarshalJSONIndent(); err != nil {
+					b.Fatal(err)
+				}
+				total += len(docs[i])
+			}
+			b.SetBytes(int64(total / len(docs)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sysimage.LoadJSON(docs[i%len(docs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

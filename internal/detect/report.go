@@ -69,7 +69,7 @@ var reportScratch = sync.Pool{New: func() any { return new(reportJSON) }}
 func (r *Report) AppendJSON(buf *bytes.Buffer) error {
 	out := reportScratch.Get().(*reportJSON)
 	out.SystemID = r.SystemID
-	out.Warnings = out.Warnings[:0]
+	warnings := out.Warnings[:0]
 	for _, w := range r.Warnings {
 		wj := warningJSON{
 			Rank: w.Rank, Kind: w.Kind, Attr: w.Attr,
@@ -78,10 +78,16 @@ func (r *Report) AppendJSON(buf *bytes.Buffer) error {
 		if w.Rule != nil {
 			wj.Rule = w.Rule.String()
 		}
-		out.Warnings = append(out.Warnings, wj)
+		warnings = append(warnings, wj)
+	}
+	// An empty list renders as null, as RenderJSON's nil slice does, even
+	// when the pooled slice kept capacity from an earlier report.
+	out.Warnings = nil
+	if len(warnings) > 0 {
+		out.Warnings = warnings
 	}
 	err := json.NewEncoder(buf).Encode(out)
-	out.Warnings = out.Warnings[:0]
+	out.Warnings = warnings[:0]
 	reportScratch.Put(out)
 	return err
 }

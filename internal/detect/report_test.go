@@ -108,6 +108,29 @@ func TestAppendJSONMatchesRenderJSON(t *testing.T) {
 	}
 }
 
+// TestAppendJSONEmptyAfterNonEmpty renders a report with warnings and then
+// an empty one through AppendJSON's pooled scratch: each must equal the
+// compacted RenderJSON, so the empty list stays null rather than turning
+// into [] once the pool has held warnings.
+func TestAppendJSONEmptyAfterNonEmpty(t *testing.T) {
+	for _, r := range []*Report{sampleReport(), {SystemID: "clean"}} {
+		indented, err := r.RenderJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got bytes.Buffer
+		if err := json.Compact(&want, indented); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.AppendJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		if compact := bytes.TrimSuffix(got.Bytes(), []byte("\n")); !bytes.Equal(compact, want.Bytes()) {
+			t.Fatalf("%s: AppendJSON diverged from RenderJSON:\n got %s\nwant %s", r.SystemID, compact, want.Bytes())
+		}
+	}
+}
+
 func TestCountByKind(t *testing.T) {
 	counts := sampleReport().CountByKind()
 	if counts[KindCorrelation] != 1 || counts[KindType] != 1 || counts[KindSuspicious] != 1 {

@@ -298,9 +298,9 @@ func (d *Daemon) handleScan(w http.ResponseWriter, r *http.Request, rc *reqCtx) 
 		}
 		img = loaded
 	} else {
-		// The body streams through sysimage's pooled read buffer (LoadJSON
-		// copies every string it keeps), so per-request decode allocates no
-		// transient body.
+		// The body streams through sysimage's pooled read buffer (the image
+		// LoadJSON returns never aliases its input), so per-request decode
+		// allocates no transient body.
 		err := sysimage.WithPooledRead(
 			io.LimitReader(r.Body, d.opts.MaxBodyBytes+1), int(r.ContentLength),
 			func(body []byte) error {

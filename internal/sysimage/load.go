@@ -41,8 +41,9 @@ func (im *Image) internStrings() {
 }
 
 // readBufPool recycles whole-file read buffers across LoadFile calls.
-// LoadJSON never retains the raw bytes (encoding/json copies into fresh
-// strings), so returning the buffer right after decoding is safe.
+// LoadJSON's contract is that the image never aliases its input (every
+// kept string is a copy or an interned canonical string), so returning the
+// buffer right after decoding is safe.
 var readBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 64<<10)
 	return &b
@@ -82,8 +83,8 @@ func LoadFile(path string) (*Image, error) {
 // bytes to fn — the streaming-body sibling of LoadFile's pooled read,
 // used by the serve daemon so per-request image decode allocates no
 // transient body buffer. The buffer is recycled when fn returns, so fn
-// must not retain it (decoding through LoadJSON is safe: encoding/json
-// copies into fresh strings). sizeHint, when positive, pre-sizes the
+// must not retain it (decoding through LoadJSON is safe: the image it
+// returns never aliases its input). sizeHint, when positive, pre-sizes the
 // buffer (a Content-Length); reads still grow past it as needed.
 func WithPooledRead(r io.Reader, sizeHint int, fn func([]byte) error) error {
 	bp := readBufPool.Get().(*[]byte)

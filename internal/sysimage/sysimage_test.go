@@ -278,8 +278,12 @@ func TestLoadJSONEmptyMaps(t *testing.T) {
 }
 
 func TestLoadJSONError(t *testing.T) {
-	if _, err := LoadJSON([]byte("{broken")); err == nil {
-		t.Fatal("expected decode error")
+	// A null map entry would leave a nil *FileMeta, *User or *Group for
+	// queries to dereference; it is rejected at decode time.
+	for _, doc := range []string{"{broken", `{"files":{"/":null}}`, `{"users":{"u":null}}`, `{"groups":{"g":null}}`} {
+		if _, err := LoadJSON([]byte(doc)); err == nil {
+			t.Fatalf("%s: expected decode error", doc)
+		}
 	}
 }
 
