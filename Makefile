@@ -96,9 +96,11 @@ bench-scan:
 # Per-image check-path perf trajectory: the legacy detector, the
 # profile-backed detector, and the compiled check plan on the same corpus
 # and target, recorded machine-readably like bench-scan. The plan/legacy
-# ratio is the allocation-diet headline.
+# ratio is the allocation-diet headline. Five runs at GOMAXPROCS=1 and at
+# every core, so the summary's median/min/max carry the spread and the
+# -N suffix names the condition.
 bench-check:
-	$(GO) test -run '^$$' -bench='DetectorCheck|ProfileCheck|PlanCheck' -benchmem -json . > BENCH_check.json.tmp && mv BENCH_check.json.tmp BENCH_check.json
+	$(GO) test -run '^$$' -bench='DetectorCheck|ProfileCheck|PlanCheck' -benchmem -count 5 -cpu 1,$$(getconf _NPROCESSORS_ONLN) -json . > BENCH_check.json.tmp && mv BENCH_check.json.tmp BENCH_check.json
 	./scripts/bench_summary.sh BENCH_check.json
 	@grep -o '"Output":"[^"]*"' BENCH_check.json | sed 's/^"Output":"//;s/"$$//' | \
 		awk '{gsub(/\\t/,"\t");gsub(/\\n/,"\n");printf "%s",$$0}' | grep 'ns/op'
@@ -146,15 +148,17 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench=ServeScan -benchtime 1x -benchmem ./internal/serve >/dev/null
 	@echo "bench-smoke: benchmarks build and run OK"
 
-# Short fuzz pass over each config-parser dialect, the binary plan decoder
-# and the image decoder (seed corpora always run as part of tier 1; this
-# explores beyond them).
+# Short fuzz pass over each config-parser dialect, the binary plan decoder,
+# the image decoder, and the hand-written type matchers against their
+# regexp oracle (seed corpora always run as part of tier 1; this explores
+# beyond them).
 fuzz:
 	$(GO) test ./internal/confparse -fuzz FuzzApacheParse -fuzztime 10s
 	$(GO) test ./internal/confparse -fuzz FuzzINIParse -fuzztime 10s
 	$(GO) test ./internal/confparse -fuzz FuzzSSHDParse -fuzztime 10s
 	$(GO) test ./internal/planio -fuzz FuzzPlanDecode -fuzztime 10s
 	$(GO) test ./internal/sysimage -fuzz FuzzLoadJSON -fuzztime 10s
+	$(GO) test ./internal/conftypes -fuzz FuzzSyntacticMatch -fuzztime 10s
 
 fmt:
 	gofmt -l .

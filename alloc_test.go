@@ -8,11 +8,11 @@ import (
 )
 
 // Allocation ceilings for the per-image hot path. Measured steady-state
-// costs are ~64 allocs for Plan.Check (mysql corpus image) and ~49 for
-// LoadJSON of a ~5KB snapshot; the ceilings leave roughly 2x headroom for
-// legitimate growth while still catching a re-bloat of the scan path (the
-// legacy per-image Check ran at ~700 allocs, and LoadJSON's encoding/json
-// fallback runs at ~193).
+// costs are ~51 allocs for Plan.Check (BenchmarkPlanCheck's mysql target)
+// and ~49 for LoadJSON of a ~5KB snapshot; the ceilings leave roughly 2x
+// headroom for legitimate growth while still catching a re-bloat of the
+// scan path (the legacy per-image Check ran at ~700 allocs, and LoadJSON's
+// encoding/json fallback runs at ~193).
 const (
 	maxPlanCheckAllocs = 150
 	maxLoadJSONAllocs  = 100

@@ -90,6 +90,14 @@ func runServe(args []string) (err error) {
 			"notifiers", len(policy.Notifiers), "rules", len(policy.Rules))
 	}
 
+	// Take over the signals before the listener exists: from serve.New on,
+	// /readyz can answer and -addr-file announces the daemon, and a
+	// SIGTERM landing after that must drain, not kill the process. Signals
+	// that arrive during the plan preload wait in the channel.
+	sigs := make(chan os.Signal, 2)
+	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
+	defer signal.Stop(sigs)
+
 	d, err := serve.New(serve.Options{
 		Addr:        *addr,
 		Rec:         rec,
@@ -125,9 +133,6 @@ func runServe(args []string) (err error) {
 		"apps", d.Registry().Len(),
 		"endpoints", "/v1/scan /v1/profiles /v1/status /v1/alerts /healthz /readyz /metrics")
 
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
-	defer signal.Stop(sigs)
 	for sig := range sigs {
 		if sig == syscall.SIGHUP {
 			if *plansDir == "" {

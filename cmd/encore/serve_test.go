@@ -177,3 +177,68 @@ func TestRunServeLifecycle(t *testing.T) {
 		}
 	}
 }
+
+// TestRunServeSIGTERMAtStartup sends SIGTERM the moment -addr-file
+// appears, while the daemon is still finishing startup. The handler must
+// already be installed: runServe returns nil after a graceful drain and
+// flushes the final -stats-json snapshot, instead of the signal's default
+// action killing the process.
+func TestRunServeSIGTERMAtStartup(t *testing.T) {
+	imgs, err := corpus.Training("mysql", 12, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw := encore.New()
+	k, err := fw.Learn(imgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plansDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(plansDir, "mysql.plan"), fw.MarshalPlan(fw.CompilePlan(k)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	addrFile := filepath.Join(dir, "addr")
+	statsFile := filepath.Join(dir, "stats.json")
+	serveErr := make(chan error, 1)
+	go func() {
+		serveErr <- runServe([]string{
+			"-addr", "127.0.0.1:0",
+			"-addr-file", addrFile,
+			"-plans", plansDir,
+			"-shutdown-timeout", "5s",
+			"-stats-json", statsFile,
+			"-log-level", "error",
+		})
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, err := os.Stat(addrFile); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("daemon never wrote addr-file")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-serveErr:
+		if err != nil {
+			t.Fatalf("runServe returned %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("runServe did not exit after SIGTERM")
+	}
+	stats, err := os.ReadFile(statsFile)
+	if err != nil {
+		t.Fatalf("final stats snapshot not written: %v", err)
+	}
+	for _, want := range []string{`"phase": "done"`, `encore_serve_plans_loaded`} {
+		if !strings.Contains(string(stats), want) {
+			t.Errorf("stats snapshot missing %q", want)
+		}
+	}
+}

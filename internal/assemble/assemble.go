@@ -10,7 +10,6 @@
 package assemble
 
 import (
-	"fmt"
 	"log/slog"
 	"strconv"
 	"strings"
@@ -118,7 +117,7 @@ func (a *Assembler) installDefaults() {
 		}},
 		{Suffix: "permission", Type: conftypes.TypePermission, Compute: func(v string, im *sysimage.Image) (string, bool) {
 			if fm := im.Resolve(v); fm != nil {
-				return fmt.Sprintf("0%o", fm.Mode&0o777), true
+				return sysimage.PermString(fm.Mode & 0o777), true
 			}
 			return "", false
 		}},

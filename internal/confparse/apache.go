@@ -167,7 +167,7 @@ func stripComment(line, marker string) string {
 			}
 		case c == '"' || c == '\'':
 			inQuote = c
-		case strings.HasPrefix(line[i:], marker):
+		case (marker == "" || c == marker[0]) && strings.HasPrefix(line[i:], marker):
 			return line[:i]
 		}
 	}

@@ -131,7 +131,7 @@ func (inf *Inferencer) InferEntry(samples []Sample) Type {
 		if s.Value == "" {
 			continue
 		}
-		if !reNumber.MatchString(s.Value) {
+		if !matchNumber(s.Value) {
 			return TypeString
 		}
 		numeric++
@@ -203,5 +203,19 @@ func (inf *Inferencer) CheckValue(t Type, value string, img *sysimage.Image) (sy
 // LogFormat patterns) are a main source of inference error; the assembler
 // uses this to skip semantic verification for them.
 func LooksLikeRegexOrGlob(v string) bool {
-	return strings.ContainsAny(v, "*?[]^$()%{}")
+	for i := 0; i < len(v); i++ {
+		if patternMeta[v[i]] {
+			return true
+		}
+	}
+	return false
 }
+
+// patternMeta marks the bytes of "*?[]^$()%{}". All are ASCII, so a byte
+// test is exact even inside multi-byte UTF-8 sequences.
+var patternMeta = func() (t [256]bool) {
+	for _, c := range []byte("*?[]^$()%{}") {
+		t[c] = true
+	}
+	return t
+}()

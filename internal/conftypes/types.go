@@ -4,17 +4,23 @@
 // A configuration value is not an arbitrary string: it usually names an
 // object in the executing environment — a file path, a user, a port, a
 // size. The package infers a semantic type per configuration entry with a
-// two-step process: a cheap *syntactic match* (regular-expression-style
-// pattern) proposes candidate types, and a heavyweight *semantic
-// verification* validates the proposal against the system image (does the
-// path exist? is the user in /etc/passwd? is the port registered?). The
-// first step prunes improbable types so inference stays fast; the second
-// guarantees accuracy.
+// two-step process: a cheap *syntactic match* proposes candidate types, and
+// a heavyweight *semantic verification* validates the proposal against the
+// system image (does the path exist? is the user in /etc/passwd? is the
+// port registered?). The first step prunes improbable types so inference
+// stays fast; the second guarantees accuracy.
+//
+// Each syntactic pattern is written down as a regular expression (see the
+// matchers in match.go) but implemented as a byte loop that accepts exactly
+// that expression's language under Go's RE2 semantics; the tests keep the
+// regexps as the differential oracle. Neither step allocates on the check
+// path: matchers scan bytes, lexicon lookups fold case in a stack buffer,
+// and file-name verification scans the image's file table in place. The
+// detector runs these per target value and inference per training sample,
+// so both learning and scanning pay only for the comparison itself.
 package conftypes
 
 import (
-	"regexp"
-	"strconv"
 	"strings"
 
 	"repro/internal/sysimage"
@@ -60,20 +66,6 @@ type Def struct {
 	Verify func(value string, img *sysimage.Image) bool
 }
 
-var (
-	reIPv4       = regexp.MustCompile(`^\d{1,3}(\.\d{1,3}){3}$`)
-	reIPv6       = regexp.MustCompile(`^[0-9a-fA-F:]+:[0-9a-fA-F:]*$`)
-	reNumber     = regexp.MustCompile(`^-?[0-9]+(\.[0-9]+)?$`)
-	reSize       = regexp.MustCompile(`^[0-9]+[KMGTkmgt][Bb]?$`)
-	reURL        = regexp.MustCompile(`^[a-z][a-z0-9+.-]*://.+$`)
-	reFilePath   = regexp.MustCompile(`^/[^\s]*$`)
-	rePartialFP  = regexp.MustCompile(`^[^/\s]+(/[^/\s]+)+$`)
-	reFileName   = regexp.MustCompile(`^[\w.-]+\.[\w-]+$`)
-	reIdent      = regexp.MustCompile(`^[a-zA-Z][a-zA-Z0-9_-]*$`)
-	reMIME       = regexp.MustCompile(`^[\w-]+/[\w.+-]+$`)
-	rePermission = regexp.MustCompile(`^0[0-7]{3}$`)
-)
-
 // booleanLexicon is the value set that marks Boolean entries. It includes
 // "0"/"1", which — exactly as in the paper — makes integer entries whose
 // training values happen to all be 0 or 1 infer as Boolean (a measured
@@ -86,7 +78,7 @@ var booleanLexicon = map[string]bool{
 
 // IsBooleanWord reports whether the value belongs to the boolean lexicon.
 func IsBooleanWord(v string) bool {
-	return booleanLexicon[strings.ToLower(v)]
+	return inFolded(booleanLexicon, v)
 }
 
 // mimeTopLevel is the IANA top-level media-type registry subset used for
@@ -120,122 +112,148 @@ func Predefined() []*Def {
 	return []*Def{
 		{
 			Name:  TypeSize,
-			Match: func(v string) bool { return reSize.MatchString(v) },
+			Match: matchSize,
 		},
 		{
 			Name:  TypeURL,
-			Match: func(v string) bool { return reURL.MatchString(v) },
+			Match: matchURL,
 		},
 		{
 			Name: TypeIPAddress,
 			Match: func(v string) bool {
-				if reIPv4.MatchString(v) {
-					for _, part := range strings.Split(v, ".") {
-						if n, _ := strconv.Atoi(part); n > 255 {
-							return false
-						}
-					}
-					return true
+				if matchIPv4(v) {
+					return ipv4OctetsInRange(v)
 				}
-				return strings.Count(v, ":") >= 2 && reIPv6.MatchString(v)
+				return strings.Count(v, ":") >= 2 && matchIPv6(v)
 			},
 		},
 		{
 			Name:  TypeMIMEType,
-			Match: func(v string) bool { return reMIME.MatchString(v) && !strings.HasPrefix(v, "/") },
+			Match: matchMIME,
 			Verify: func(v string, _ *sysimage.Image) bool {
 				top, _, _ := strings.Cut(v, "/")
-				return mimeTopLevel[strings.ToLower(top)]
+				return inFolded(mimeTopLevel, top)
 			},
 		},
 		{
 			Name:  TypeFilePath,
-			Match: func(v string) bool { return reFilePath.MatchString(v) },
+			Match: matchFilePath,
 			Verify: func(v string, img *sysimage.Image) bool {
 				return img != nil && img.Exists(v)
 			},
 		},
 		{
 			Name:  TypePartialFilePath,
-			Match: func(v string) bool { return rePartialFP.MatchString(v) },
+			Match: matchPartialFilePath,
 			Verify: func(v string, img *sysimage.Image) bool {
-				if img == nil {
-					return false
-				}
-				suffix := "/" + v
-				for _, p := range img.FileList() {
-					if strings.HasSuffix(p, suffix) {
-						return true
-					}
-				}
-				return false
+				return img != nil && hasPathEndingIn(img, v)
 			},
 		},
 		{
 			Name:  TypePermission,
-			Match: func(v string) bool { return rePermission.MatchString(v) },
+			Match: matchPermission,
 		},
 		{
 			Name: TypePortNumber,
 			Match: func(v string) bool {
-				n, err := strconv.Atoi(v)
-				return err == nil && n > 0 && n <= 65535
+				_, ok := parsePort(v)
+				return ok
 			},
 			Verify: func(v string, img *sysimage.Image) bool {
-				if img == nil {
-					return false
-				}
-				n, _ := strconv.Atoi(v)
-				return img.PortRegistered(n)
+				n, _ := parsePort(v)
+				return img != nil && img.PortRegistered(n)
 			},
 		},
 		{
 			Name:  TypeNumber,
-			Match: func(v string) bool { return reNumber.MatchString(v) },
+			Match: matchNumber,
 		},
 		{
 			Name:  TypeFileName,
-			Match: func(v string) bool { return reFileName.MatchString(v) && !strings.Contains(v, "/") },
+			Match: matchFileName,
 			Verify: func(v string, img *sysimage.Image) bool {
-				if img == nil {
-					return false
-				}
-				suffix := "/" + v
-				for _, p := range img.FileList() {
-					if strings.HasSuffix(p, suffix) {
-						return true
-					}
-				}
-				return false
+				return img != nil && hasPathEndingIn(img, v)
 			},
 		},
 		{
 			Name:  TypeCharset,
-			Match: func(v string) bool { return reIdent.MatchString(strings.ReplaceAll(v, ".", "")) },
+			Match: matchIdentDotless,
 			Verify: func(v string, _ *sysimage.Image) bool {
-				return charsets[strings.ToLower(v)]
+				return inFolded(charsets, v)
 			},
 		},
 		{
 			Name:  TypeLanguage,
-			Match: func(v string) bool { return len(v) == 2 && reIdent.MatchString(v) },
+			Match: func(v string) bool { return len(v) == 2 && matchIdent(v) },
 			Verify: func(v string, _ *sysimage.Image) bool {
-				return languages[strings.ToLower(v)]
+				return inFolded(languages, v)
 			},
 		},
 		{
 			Name:  TypeUserName,
-			Match: func(v string) bool { return reIdent.MatchString(v) },
+			Match: matchIdent,
 			Verify: func(v string, img *sysimage.Image) bool {
 				return img != nil && img.UserExists(v)
 			},
 		},
 		{
 			Name:  TypeGroupName,
-			Match: func(v string) bool { return reIdent.MatchString(v) },
+			Match: matchIdent,
 			Verify: func(v string, img *sysimage.Image) bool {
 				return img != nil && img.GroupExists(v)
 			},
 		},
 	}
+}
+
+// ipv4OctetsInRange reports whether every dot-separated part of a value
+// already shaped like an IPv4 address (matchIPv4: one to three digits per
+// part) is at most 255.
+func ipv4OctetsInRange(v string) bool {
+	n := 0
+	for i := 0; i <= len(v); i++ {
+		if i == len(v) || v[i] == '.' {
+			if n > 255 {
+				return false
+			}
+			n = 0
+			continue
+		}
+		n = n*10 + int(v[i]-'0')
+	}
+	return true
+}
+
+// hasPathEndingIn reports whether some path in the image ends in "/"+v —
+// the semantic check shared by FileName and PartialFilePath. It scans the
+// file table in place; the answer does not depend on iteration order.
+func hasPathEndingIn(img *sysimage.Image, v string) bool {
+	for p := range img.Files {
+		if len(p) > len(v) && p[len(p)-len(v)-1] == '/' && p[len(p)-len(v):] == v {
+			return true
+		}
+	}
+	return false
+}
+
+// inFolded reports m[strings.ToLower(v)]. Short ASCII values — every value
+// the lexicons can hold — are folded in a stack buffer so the lookup does
+// not allocate; anything else takes strings.ToLower, whose Unicode folding
+// can map a non-ASCII rune onto an ASCII letter.
+func inFolded(m map[string]bool, v string) bool {
+	var buf [16]byte
+	if len(v) > len(buf) {
+		return m[strings.ToLower(v)]
+	}
+	for i := 0; i < len(v); i++ {
+		c := v[i]
+		if c >= 0x80 {
+			return m[strings.ToLower(v)]
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return m[string(buf[:len(v)])]
 }

@@ -333,7 +333,7 @@ var builtins = map[string]builtin{
 			return str(""), nil
 		}
 		if fm := env.Image.Resolve(args[0].String()); fm != nil {
-			return str(fmt.Sprintf("0%o", fm.Mode&0o777)), nil
+			return str(sysimage.PermString(fm.Mode & 0o777)), nil
 		}
 		return str(""), nil
 	},

@@ -15,7 +15,7 @@ package detect
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/assemble"
@@ -179,12 +179,7 @@ func (dt *Detector) Check(img *sysimage.Image) (*Report, error) {
 	warnings = append(warnings, dt.checkTypes(row, img)...)
 	warnings = append(warnings, dt.checkSuspiciousValues(row)...)
 
-	sort.SliceStable(warnings, func(i, j int) bool {
-		if warnings[i].Score != warnings[j].Score {
-			return warnings[i].Score > warnings[j].Score
-		}
-		return warnings[i].Attr < warnings[j].Attr
-	})
+	sortWarnings(warnings)
 	for i, w := range warnings {
 		w.Rank = i + 1
 	}
@@ -367,11 +362,28 @@ func (dt *Detector) checkSuspiciousValues(row *dataset.Row) []*Warning {
 			})
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
+	// The cut keeps the first warnings in report order; ordering by score
+	// alone would leave ties in map-iteration order and make the surviving
+	// set vary from run to run.
 	if dt.SuspiciousValueLimit > 0 && len(out) > dt.SuspiciousValueLimit {
+		sortWarnings(out)
 		out = out[:dt.SuspiciousValueLimit]
 	}
 	return out
+}
+
+// sortWarnings orders warnings for a report: by descending score, then by
+// attribute name, keeping the incoming order of equal keys.
+func sortWarnings(ws []*Warning) {
+	slices.SortStableFunc(ws, func(a, b *Warning) int {
+		if a.Score != b.Score {
+			if a.Score > b.Score {
+				return -1
+			}
+			return 1
+		}
+		return strings.Compare(a.Attr, b.Attr)
+	})
 }
 
 // editDistance computes Levenshtein distance with early exit once the

@@ -1,9 +1,9 @@
 package detect
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -21,9 +21,10 @@ import (
 // cardinalities, precomputed scores, resolved type checkers, compiled
 // rule/template pairs, and a pruned entry-name index for misspelling
 // suggestions — resolved once at Compile time and shared read-only across
-// any number of scan workers. Per-image state lives in pooled scratch, so
-// Check builds no dataset, no histogram, and (for names already seen in
-// training) no strings.
+// any number of scan workers. Every training attribute owns a dense slot
+// (its index in attrStore); per-image values live in pooled scratch
+// indexed by slot, so Check builds no dataset, no histogram, no per-image
+// map, and (for names already seen in training) no strings.
 //
 // A Plan snapshots the detector's training view at Compile time; mutating
 // the training dataset afterwards is not reflected (compile a new Plan).
@@ -34,19 +35,16 @@ type Plan struct {
 	suspLimit int
 	assembler *assemble.Assembler
 
-	// attrStore backs attrs with one allocation; attrs indexes it by name.
+	// attrStore backs attrs with one allocation and defines the slots: an
+	// attribute's slot is its index here. attrs resolves a name to its
+	// attribute once per streamed name.
 	attrStore []planAttr
 	attrs     map[string]*planAttr
 
 	// types carries TrainingTypes declarations for target-assembly type
-	// resolution (the map AssembleTarget would consult per image).
+	// resolution (the map AssembleTarget would consult per image). Types of
+	// training attributes are also copied onto planAttr.typ by finish.
 	types map[string]conftypes.Type
-
-	// names interns the training-side names not already keyed by attrs
-	// (type declarations without a matching attribute): target attribute
-	// names are built in a byte buffer and resolved against attrs, then
-	// names, without allocating whenever the name was seen in training.
-	names map[string]string
 
 	// nameIdx lists the non-augmented training attributes in declaration
 	// order for nearest-name search, each with a character signature for
@@ -64,6 +62,12 @@ type Plan struct {
 // planAttr is one training attribute's compiled summary.
 type planAttr struct {
 	decl dataset.Attribute
+	// slot is the attribute's index in Plan.attrStore.
+	slot int32
+	// typ is the attribute's TrainingTypes declaration when typed is set —
+	// TypeOf's answer without a map lookup.
+	typ   conftypes.Type
+	typed bool
 	// has mirrors Detector.trainingHas (Present > 0).
 	has bool
 	// hist is the value histogram sorted by value. A sorted slice instead
@@ -123,10 +127,14 @@ type nameCand struct {
 	sig  uint64
 }
 
-// planRule is one learned rule with its template resolved.
+// planRule is one learned rule with its template and attribute slots
+// resolved. A slot of -1 names an attribute the plan did not compile; its
+// values, if the target has any, are found by name among the target-only
+// slots.
 type planRule struct {
-	rule *rules.Rule
-	tpl  *templates.Template
+	rule         *rules.Rule
+	tpl          *templates.Template
+	slotA, slotB int32
 }
 
 // charSig folds a string's bytes into a 64-bit set (one bit per byte
@@ -152,9 +160,7 @@ func (dt *Detector) Compile() *Plan {
 		suspLimit: dt.SuspiciousValueLimit,
 		assembler: dt.Assembler,
 		attrStore: make([]planAttr, len(attrs)),
-		attrs:     make(map[string]*planAttr, len(attrs)),
 		types:     make(map[string]conftypes.Type, len(attrs)),
-		names:     make(map[string]string, 8),
 	}
 	for i, a := range attrs {
 		hist := sortedHist(dt.Training.Histogram(a.Name))
@@ -168,7 +174,6 @@ func (dt *Detector) Compile() *Plan {
 			check:   checkers.get(a.Type),
 		}
 		pa.deriveScores(p.samples)
-		p.attrs[a.Name] = pa
 		if !a.Augmented {
 			p.nameIdx = append(p.nameIdx, nameCand{name: a.Name, sig: charSig(a.Name)})
 		}
@@ -176,9 +181,6 @@ func (dt *Detector) Compile() *Plan {
 	if dt.TrainingTypes != nil {
 		for _, a := range dt.TrainingTypes.Attributes() {
 			p.types[a.Name] = a.Type
-			if _, ok := p.attrs[a.Name]; !ok {
-				p.names[a.Name] = a.Name
-			}
 		}
 	}
 	for _, r := range dt.Rules {
@@ -186,8 +188,36 @@ func (dt *Detector) Compile() *Plan {
 			p.rules = append(p.rules, planRule{rule: r, tpl: tpl})
 		}
 	}
+	return p.finish()
+}
+
+// finish indexes a plan whose attrStore, types and rules are filled in:
+// it gives every attribute its slot and its TrainingTypes declaration,
+// resolves every rule's attribute slots, and arms the scratch pool.
+// Compile and NewPlanFromSpec both end here, so a plan rebuilt from its
+// spec resolves exactly like the compiled original.
+func (p *Plan) finish() *Plan {
+	p.attrs = make(map[string]*planAttr, len(p.attrStore))
+	for i := range p.attrStore {
+		pa := &p.attrStore[i]
+		pa.slot = int32(i)
+		pa.typ, pa.typed = p.types[pa.decl.Name]
+		p.attrs[pa.decl.Name] = pa
+	}
+	for i := range p.rules {
+		pr := &p.rules[i]
+		pr.slotA, pr.slotB = p.slotOf(pr.rule.AttrA), p.slotOf(pr.rule.AttrB)
+	}
 	p.pool.New = func() any { return newScratch(p) }
 	return p
+}
+
+// slotOf returns a training attribute's slot, or -1.
+func (p *Plan) slotOf(name string) int32 {
+	if pa, ok := p.attrs[name]; ok {
+		return pa.slot
+	}
+	return -1
 }
 
 // deriveScores computes the per-attribute check parameters that follow
@@ -267,53 +297,86 @@ func compileChecker(inf *conftypes.Inferencer, t conftypes.Type) func(string, *s
 	}
 }
 
+// declState is the target-side Augmented flag of a target-only attribute.
+// The legacy target dataset declares every parsed entry name
+// (non-augmented) before emitting the row, so a plain Declare always wins
+// regardless of stream order; otherwise the first augmented Declare
+// decides.
+type declState uint8
+
+const (
+	declNone declState = iota
+	declAug
+	declPlain
+)
+
+// extraName is one interned target-only name (a name the plan did not
+// compile) and the slot it holds in the image whose generation it records.
+type extraName struct {
+	name string
+	gen  uint32
+	slot int32
+}
+
 // scratch is the per-image working state of one Check call, pooled and
 // reused across images. It implements assemble.TargetSink, receiving the
-// streamed target attributes directly into the cells map (the one row the
-// legacy path would have stored in a fresh dataset).
+// streamed target attributes into a slot table: slots below
+// len(p.attrStore) are the plan's attributes, the ones above are this
+// image's target-only names in first-use order.
 type scratch struct {
 	p   *Plan
 	img *sysimage.Image
 
-	cells map[string][]string
-	// arena backs single-instance cell slices so most Adds allocate
-	// nothing; multi-instance attributes fall back to append's growth.
-	arena []string
+	// vals holds each slot's values for the current image; touched lists
+	// the slots holding any, in first-Add order. The checks walk touched,
+	// and reset empties exactly those slots, keeping their capacity.
+	vals    [][]string
+	touched []int32
 
-	// newAug resolves the target dataset's Augmented flag for attributes
-	// unseen in training. The legacy target dataset declares every parsed
-	// entry name (non-augmented) before emitting the row, so a
-	// non-augmented Declare always wins regardless of stream order;
-	// otherwise the first augmented Declare decides.
-	newAug map[string]bool
+	// last/lastSlot cache the latest name resolution: the stream interns a
+	// name and then passes the same string to TypeOf, Declare and Add.
+	last     string
+	lastSlot int32
+
+	// extra interns target-only names across the images this scratch
+	// serves (bounded in reset); gen stamps which image an entry's slot
+	// belongs to. extraNames and extraAug describe the current image's
+	// target-only slots, indexed by slot - len(p.attrStore).
+	extra      map[string]*extraName
+	gen        uint32
+	extraNames []string
+	extraAug   []declState
 
 	// typeMemo caches InferValue results per image for attributes absent
 	// from the training types, reproducing the first-occurrence-wins type
 	// map of AssembleTarget.
 	typeMemo map[string]conftypes.Type
 
-	// extra interns target-only attribute names across the images this
-	// scratch serves; bounded in release().
-	extra map[string]string
-
 	// edPrev/edCur are the edit-distance DP rows.
 	edPrev, edCur []int
 
-	warnings []*Warning
-	susp     []*Warning
+	// msg is the buffer warning messages are built in. Each message spells
+	// exactly what the legacy detector's fmt.Sprintf format gives (%q is
+	// strconv.Quote, %d strconv's base-10 form).
+	msg []byte
 
-	row dataset.Row
+	// warnings collects the report in kind order; types and susp are the
+	// per-kind buckets the fused attribute walk fills.
+	warnings, types, susp []*Warning
+
 	ctx templates.Ctx
 }
 
 func newScratch(p *Plan) *scratch {
+	n := len(p.attrStore)
 	return &scratch{
 		p:        p,
-		cells:    make(map[string][]string, 1+len(p.attrs)/2),
-		arena:    make([]string, 0, 512),
-		newAug:   make(map[string]bool, 16),
+		vals:     make([][]string, n, n+16),
+		touched:  make([]int32, 0, 1+n/2),
+		lastSlot: -1,
+		extra:    make(map[string]*extraName, 16),
+		gen:      1,
 		typeMemo: make(map[string]conftypes.Type, 8),
-		extra:    make(map[string]string, 16),
 	}
 }
 
@@ -321,63 +384,119 @@ func newScratch(p *Plan) *scratch {
 // so a pathological corpus cannot grow it without limit.
 const maxExtraInterned = 1 << 14
 
-// release returns the scratch to the pool with per-image state cleared.
-// The interner survives (that is its purpose); cells values may reference
-// the arena, so cells must be cleared before the arena is rewound.
-func (s *scratch) release() {
-	clear(s.cells)
-	clear(s.newAug)
-	clear(s.typeMemo)
-	if len(s.extra) > maxExtraInterned {
-		clear(s.extra)
+// reset clears the per-image state. The interner survives (that is its
+// purpose); advancing gen retires every entry's slot at once. Slot value
+// slices are zeroed so the pool does not pin the last image's strings.
+func (s *scratch) reset() {
+	for _, slot := range s.touched {
+		vs := s.vals[slot]
+		clear(vs)
+		s.vals[slot] = vs[:0]
 	}
-	s.arena = s.arena[:0]
+	s.touched = s.touched[:0]
+	s.extraNames = s.extraNames[:0]
+	s.extraAug = s.extraAug[:0]
+	s.last, s.lastSlot = "", -1
+	if s.gen++; s.gen == 0 || len(s.extra) > maxExtraInterned {
+		clear(s.extra)
+		s.gen = 1
+	}
+	if len(s.typeMemo) > 0 {
+		clear(s.typeMemo)
+	}
 	s.warnings = s.warnings[:0]
+	s.types = s.types[:0]
 	s.susp = s.susp[:0]
 	s.img = nil
-	s.row = dataset.Row{}
 	s.ctx = templates.Ctx{}
+}
+
+// release returns the scratch to the pool with per-image state cleared.
+func (s *scratch) release() {
+	s.reset()
 	s.p.pool.Put(s)
 }
 
-// slot carves a length-0, capacity-1 string slice out of the arena.
-func (s *scratch) slot() []string {
-	if len(s.arena) == cap(s.arena) {
-		s.arena = make([]string, 0, 2*cap(s.arena))
+// slotOf resolves a streamed name to its slot, giving a target-only name
+// the next free slot on first use in this image.
+func (s *scratch) slotOf(name string) int32 {
+	if s.lastSlot >= 0 && name == s.last {
+		return s.lastSlot
 	}
-	n := len(s.arena)
-	s.arena = s.arena[: n+1 : cap(s.arena)]
-	return s.arena[n : n : 1+n]
+	var slot int32
+	if pa, ok := s.p.attrs[name]; ok {
+		slot = pa.slot
+	} else {
+		e := s.extra[name]
+		if e == nil {
+			e = &extraName{name: name}
+			s.extra[name] = e
+		}
+		slot = s.extraSlot(e)
+	}
+	s.last, s.lastSlot = name, slot
+	return slot
+}
+
+// extraSlot returns a target-only name's slot in the current image.
+func (s *scratch) extraSlot(e *extraName) int32 {
+	if e.gen != s.gen {
+		e.gen = s.gen
+		e.slot = int32(len(s.p.attrStore) + len(s.extraNames))
+		s.extraNames = append(s.extraNames, e.name)
+		s.extraAug = append(s.extraAug, declNone)
+		if int(e.slot) == len(s.vals) {
+			s.vals = append(s.vals, nil)
+		}
+	}
+	return e.slot
+}
+
+// valuesAt returns the current image's values of a rule attribute: its
+// compiled slot, or for slot -1 the target-only slot of that name.
+func (s *scratch) valuesAt(slot int32, name string) []string {
+	if slot < 0 {
+		e := s.extra[name]
+		if e == nil || e.gen != s.gen {
+			return nil
+		}
+		slot = e.slot
+	}
+	return s.vals[slot]
 }
 
 // Declare implements assemble.TargetSink.
 func (s *scratch) Declare(name string, _ conftypes.Type, augmented bool) {
-	if _, known := s.p.attrs[name]; known {
+	i := int(s.slotOf(name)) - len(s.p.attrStore)
+	if i < 0 {
 		// Training declarations come first in the legacy target dataset,
 		// so its flag wins; the plan reads it from planAttr directly.
 		return
 	}
 	if !augmented {
-		s.newAug[name] = false
-		return
-	}
-	if _, seen := s.newAug[name]; !seen {
-		s.newAug[name] = true
+		s.extraAug[i] = declPlain
+	} else if s.extraAug[i] == declNone {
+		s.extraAug[i] = declAug
 	}
 }
 
 // Add implements assemble.TargetSink.
 func (s *scratch) Add(name, value string) {
-	vs, ok := s.cells[name]
-	if !ok {
-		vs = s.slot()
+	slot := s.slotOf(name)
+	vs := s.vals[slot]
+	if len(vs) == 0 {
+		s.touched = append(s.touched, slot)
 	}
-	s.cells[name] = append(vs, value)
+	s.vals[slot] = append(vs, value)
 }
 
 // TypeOf implements assemble.TargetSink.
 func (s *scratch) TypeOf(name, value string) conftypes.Type {
-	if t, ok := s.p.types[name]; ok {
+	if slot := s.slotOf(name); int(slot) < len(s.p.attrStore) {
+		if pa := &s.p.attrStore[slot]; pa.typed {
+			return pa.typ
+		}
+	} else if t, ok := s.p.types[name]; ok {
 		return t
 	}
 	if t, ok := s.typeMemo[name]; ok {
@@ -388,25 +507,33 @@ func (s *scratch) TypeOf(name, value string) conftypes.Type {
 	return t
 }
 
-// InternName implements assemble.TargetSink.
+// InternName implements assemble.TargetSink. It resolves the name's slot
+// as well, so the TypeOf, Declare and Add that follow hit slotOf's cache.
 func (s *scratch) InternName(name []byte) string {
 	if pa, ok := s.p.attrs[string(name)]; ok {
+		s.last, s.lastSlot = pa.decl.Name, pa.slot
 		return pa.decl.Name
 	}
-	if n, ok := s.p.names[string(name)]; ok {
-		return n
+	e := s.extra[string(name)]
+	if e == nil {
+		n := string(name)
+		e = &extraName{name: n}
+		s.extra[n] = e
 	}
-	if n, ok := s.extra[string(name)]; ok {
-		return n
-	}
-	n := string(name)
-	s.extra[n] = n
-	return n
+	s.last, s.lastSlot = e.name, s.extraSlot(e)
+	return e.name
 }
 
 // Check assembles the target image into pooled scratch and runs the four
 // anomaly checks against the compiled tables, returning a report
 // identical to Detector.Check's.
+//
+// The entry-name, data-type and suspicious-value checks run fused in one
+// walk over the touched slots; the kinds are then concatenated in the
+// legacy order (names, correlations, types, suspicious). The final stable
+// (Score, Attr) sort leaves equal keys in that concatenation order, and
+// within one kind equal keys come from one attribute in value order, so
+// the report does not depend on the walk order.
 func (p *Plan) Check(img *sysimage.Image) (*Report, error) {
 	s := p.pool.Get().(*scratch)
 	s.img = img
@@ -414,21 +541,14 @@ func (p *Plan) Check(img *sysimage.Image) (*Report, error) {
 		s.release()
 		return nil, err
 	}
-	s.row = dataset.Row{SystemID: img.ID, Cells: s.cells}
-	s.ctx = templates.Ctx{Row: &s.row, Image: img}
+	s.ctx = templates.Ctx{Image: img}
 
-	ws := s.warnings[:0]
-	ws = p.checkNames(s, ws)
+	ws := p.checkAttrs(s, s.warnings[:0])
 	ws = p.checkCorrelations(s, ws)
-	ws = p.checkTypes(s, img, ws)
-	ws = p.checkSuspicious(s, ws)
+	ws = append(ws, s.types...)
+	ws = append(ws, p.limitSuspicious(s.susp)...)
 
-	sort.SliceStable(ws, func(i, j int) bool {
-		if ws[i].Score != ws[j].Score {
-			return ws[i].Score > ws[j].Score
-		}
-		return ws[i].Attr < ws[j].Attr
-	})
+	sortWarnings(ws)
 	// nil for a clean image, exactly like the legacy detector's
 	// unappended nil slice.
 	var out []*Warning
@@ -444,29 +564,55 @@ func (p *Plan) Check(img *sysimage.Image) (*Report, error) {
 	return &Report{SystemID: img.ID, Warnings: out}, nil
 }
 
-// checkNames is checkNames compiled: the training flags come from the
-// plan, the target-side Augmented flag from the scratch's declare log.
-func (p *Plan) checkNames(s *scratch, ws []*Warning) []*Warning {
-	for attr := range s.cells {
-		if pa, ok := p.attrs[attr]; ok {
-			if pa.decl.Augmented || pa.has {
-				continue
+// checkAttrs is checkNames, checkTypes and checkSuspiciousValues compiled
+// and fused into one walk over the touched slots. Name warnings go to ws;
+// type and suspicious warnings fill the scratch's per-kind buckets.
+func (p *Plan) checkAttrs(s *scratch, ws []*Warning) []*Warning {
+	n := int32(len(p.attrStore))
+	for _, slot := range s.touched {
+		if slot >= n {
+			// A target-only name: only the name check applies, and an
+			// augmentation of an unseen entry is noise (the entry itself
+			// is the warning).
+			if s.extraAug[slot-n] != declAug {
+				ws = p.appendNameWarning(s, ws, s.extraNames[slot-n])
 			}
-		} else if s.newAug[attr] {
 			continue
 		}
-		if isEnvAttr(attr) {
+		pa := &p.attrStore[slot]
+		if !pa.has {
+			if !pa.decl.Augmented {
+				ws = p.appendNameWarning(s, ws, pa.decl.Name)
+			}
 			continue
 		}
-		msg := fmt.Sprintf("entry %q was never seen in the training set", attr)
-		score := 20.0
-		if near := p.nearest(s, attr); near != "" {
-			msg += fmt.Sprintf(" (did you mean %q?)", near)
-			score = 35.0
+		values := s.vals[slot]
+		if !pa.decl.Augmented && !pa.trivial {
+			s.types = p.appendTypeWarnings(s, s.types, pa, values)
 		}
-		ws = append(ws, &Warning{Kind: KindName, Attr: attr, Message: msg, Score: score})
+		if !pa.suspSkip {
+			s.susp = p.appendSuspicious(s, s.susp, pa, values)
+		}
 	}
 	return ws
+}
+
+// appendNameWarning flags an entry never seen in training, with a
+// nearest-name suggestion when one is within edit distance 2.
+// Environment attributes are not configuration entries and never flag.
+func (p *Plan) appendNameWarning(s *scratch, ws []*Warning, attr string) []*Warning {
+	if isEnvAttr(attr) {
+		return ws
+	}
+	b := strconv.AppendQuote(append(s.msg[:0], "entry "...), attr)
+	b = append(b, " was never seen in the training set"...)
+	score := 20.0
+	if near := p.nearest(s, attr); near != "" {
+		b = append(strconv.AppendQuote(append(b, " (did you mean "...), near), "?)"...)
+		score = 35.0
+	}
+	s.msg = b
+	return append(ws, &Warning{Kind: KindName, Attr: attr, Message: string(b), Score: score})
 }
 
 // nearest is nearestTrainingAttr over the compiled name index: the same
@@ -508,13 +654,14 @@ func (s *scratch) editDistance(a, b string, bound int) int {
 	return editDistanceInto(a, b, bound, s.edPrev[:n], s.edCur[:n])
 }
 
-// checkCorrelations is checkCorrelations compiled: templates were
-// resolved per rule at Compile time.
+// checkCorrelations is checkCorrelations compiled: templates and
+// attribute slots were resolved per rule at Compile time.
 func (p *Plan) checkCorrelations(s *scratch, ws []*Warning) []*Warning {
-	for _, pr := range p.rules {
+	for i := range p.rules {
+		pr := &p.rules[i]
 		r := pr.rule
-		va := s.cells[r.AttrA]
-		vb := s.cells[r.AttrB]
+		va := s.valuesAt(pr.slotA, r.AttrA)
+		vb := s.valuesAt(pr.slotB, r.AttrB)
 		if len(va) == 0 || len(vb) == 0 {
 			continue // absent entries: rule is ignored (Section 6)
 		}
@@ -522,82 +669,87 @@ func (p *Plan) checkCorrelations(s *scratch, ws []*Warning) []*Warning {
 		if !applicable || holds {
 			continue
 		}
+		joinedA := strings.Join(va, ";")
+		b := append(append(s.msg[:0], "correlation "...), r.Spec...)
+		b = append(append(append(b, " violated: "...), r.AttrA...), '=')
+		b = append(append(append(strconv.AppendQuote(b, joinedA), " vs "...), r.AttrB...), '=')
+		b = strconv.AppendQuote(b, strings.Join(vb, ";"))
+		s.msg = b
 		ws = append(ws, &Warning{
-			Kind:  KindCorrelation,
-			Attr:  r.AttrA,
-			Value: strings.Join(va, ";"),
-			Rule:  r,
-			Message: fmt.Sprintf("correlation %s violated: %s=%q vs %s=%q",
-				r.Spec, r.AttrA, strings.Join(va, ";"), r.AttrB, strings.Join(vb, ";")),
-			Score: 40 + 20*r.Confidence,
+			Kind:    KindCorrelation,
+			Attr:    r.AttrA,
+			Value:   joinedA,
+			Rule:    r,
+			Message: string(b),
+			Score:   40 + 20*r.Confidence,
 		})
 	}
 	return ws
 }
 
-// checkTypes is checkTypes compiled: the type dispatch and the
-// cardinality score were resolved per attribute at Compile time.
-func (p *Plan) checkTypes(s *scratch, img *sysimage.Image, ws []*Warning) []*Warning {
-	for attr, values := range s.cells {
-		pa, ok := p.attrs[attr]
-		if !ok || pa.decl.Augmented || pa.trivial || !pa.has {
+// appendTypeWarnings is checkTypes for one attribute: the type dispatch
+// and the cardinality score were resolved at Compile time.
+func (p *Plan) appendTypeWarnings(s *scratch, ws []*Warning, pa *planAttr, values []string) []*Warning {
+	for _, v := range values {
+		if conftypes.LooksLikeRegexOrGlob(v) {
 			continue
 		}
-		for _, v := range values {
-			if conftypes.LooksLikeRegexOrGlob(v) {
-				continue
-			}
-			syn, sem := true, true
-			if pa.check != nil {
-				syn, sem = pa.check(v, img)
-			}
-			if syn && sem {
-				continue
-			}
-			step := "semantic verification"
-			if !syn {
-				step = "syntactic match"
-			}
-			ws = append(ws, &Warning{
-				Kind:  KindType,
-				Attr:  attr,
-				Value: v,
-				Message: fmt.Sprintf("value %q of %s fails %s for type %s",
-					v, attr, step, pa.decl.Type),
-				Score: pa.typeScore,
-			})
+		syn, sem := true, true
+		if pa.check != nil {
+			syn, sem = pa.check(v, s.img)
 		}
+		if syn && sem {
+			continue
+		}
+		step := "semantic verification"
+		if !syn {
+			step = "syntactic match"
+		}
+		b := strconv.AppendQuote(append(s.msg[:0], "value "...), v)
+		b = append(append(append(b, " of "...), pa.decl.Name...), " fails "...)
+		b = append(append(append(b, step...), " for type "...), pa.decl.Type...)
+		s.msg = b
+		ws = append(ws, &Warning{
+			Kind:    KindType,
+			Attr:    pa.decl.Name,
+			Value:   v,
+			Message: string(b),
+			Score:   pa.typeScore,
+		})
 	}
 	return ws
 }
 
-// checkSuspicious is checkSuspiciousValues compiled: histogram,
+// appendSuspicious is checkSuspiciousValues for one attribute: histogram,
 // cardinality, ICF, and the resulting score come from the plan.
-func (p *Plan) checkSuspicious(s *scratch, ws []*Warning) []*Warning {
-	sus := s.susp[:0]
-	for attr, values := range s.cells {
-		pa, ok := p.attrs[attr]
-		if !ok || !pa.has || pa.suspSkip {
+func (p *Plan) appendSuspicious(s *scratch, ws []*Warning, pa *planAttr, values []string) []*Warning {
+	for _, v := range values {
+		if pa.histHas(v) {
 			continue
 		}
-		for _, v := range values {
-			if pa.histHas(v) {
-				continue
-			}
-			sus = append(sus, &Warning{
-				Kind:  KindSuspicious,
-				Attr:  attr,
-				Value: v,
-				Message: fmt.Sprintf("value %q of %s never appeared in %d training systems (%d distinct values seen)",
-					v, attr, p.samples, pa.card),
-				Score: pa.suspScore,
-			})
-		}
+		b := strconv.AppendQuote(append(s.msg[:0], "value "...), v)
+		b = append(append(append(b, " of "...), pa.decl.Name...), " never appeared in "...)
+		b = append(strconv.AppendInt(b, int64(p.samples), 10), " training systems ("...)
+		b = append(strconv.AppendInt(b, int64(pa.card), 10), " distinct values seen)"...)
+		s.msg = b
+		ws = append(ws, &Warning{
+			Kind:    KindSuspicious,
+			Attr:    pa.decl.Name,
+			Value:   v,
+			Message: string(b),
+			Score:   pa.suspScore,
+		})
 	}
-	sort.SliceStable(sus, func(i, j int) bool { return sus[i].Score > sus[j].Score })
-	s.susp = sus
+	return ws
+}
+
+// limitSuspicious applies SuspiciousValueLimit. The cut keeps the first
+// warnings in (Score, Attr) order, exactly as the legacy detector does;
+// without a cut the final report sort alone decides the order.
+func (p *Plan) limitSuspicious(sus []*Warning) []*Warning {
 	if p.suspLimit > 0 && len(sus) > p.suspLimit {
+		sortWarnings(sus)
 		sus = sus[:p.suspLimit]
 	}
-	return append(ws, sus...)
+	return sus
 }

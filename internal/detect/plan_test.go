@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"repro/internal/assemble"
 	"repro/internal/conftypes"
 	"repro/internal/dataset"
 	"repro/internal/rules"
+	"repro/internal/sysimage"
 )
 
 // randomName draws an attribute-like name: app prefix, a few path
@@ -123,32 +126,79 @@ func TestPlanRulesDropMissingTemplates(t *testing.T) {
 	}
 }
 
-// TestScratchArenaReuse pins the arena rewind: repeated checks through
-// one scratch must not leak previously-scanned cell values into later
+// TestScratchArenaReuse pins scratch reuse across images: repeated checks
+// through one scratch must not leak previously-scanned values into later
 // reports (covered end to end by the reused-scratch equivalence test,
-// verified here at the unit level).
+// verified here at the unit level). Each round outgrows the slot table's
+// initial capacity and reuses every target-only slot under a fresh
+// generation.
 func TestScratchArenaReuse(t *testing.T) {
-	p := &Plan{}
-	p.pool.New = func() any { return newScratch(p) }
+	p := (&Plan{}).finish()
 	s := p.pool.Get().(*scratch)
 	for round := 0; round < 3; round++ {
-		for i := 0; i < 700; i++ { // crosses the initial arena capacity
-			s.Add(fmt.Sprintf("attr-%d", i), fmt.Sprintf("v%d-%d", round, i))
+		for i := 0; i < 700; i++ {
+			name := fmt.Sprintf("attr-%d", i)
+			s.Declare(name, conftypes.TypeString, false)
+			s.Add(name, fmt.Sprintf("v%d-%d", round, i))
 		}
 		for i := 0; i < 700; i++ {
-			vs := s.cells[fmt.Sprintf("attr-%d", i)]
+			vs := s.valuesAt(-1, fmt.Sprintf("attr-%d", i))
 			if len(vs) != 1 || vs[0] != fmt.Sprintf("v%d-%d", round, i) {
-				t.Fatalf("round %d attr-%d: cells = %v", round, i, vs)
+				t.Fatalf("round %d attr-%d: values = %v", round, i, vs)
 			}
 		}
 		// Multi-instance attributes must keep append order.
 		s.Add("multi", "one")
 		s.Add("multi", "two")
 		s.Add("multi", "three")
-		if got := s.cells["multi"]; len(got) != 3 || got[0] != "one" || got[2] != "three" {
+		if got := s.valuesAt(-1, "multi"); len(got) != 3 || got[0] != "one" || got[2] != "three" {
 			t.Fatalf("round %d multi: %v", round, got)
 		}
-		clear(s.cells)
-		s.arena = s.arena[:0]
+		if len(s.touched) != 701 {
+			t.Fatalf("round %d: %d touched slots, want 701", round, len(s.touched))
+		}
+		s.reset()
+		if got := s.valuesAt(-1, "multi"); got != nil {
+			t.Fatalf("round %d: values survived reset: %v", round, got)
+		}
+	}
+}
+
+// TestPlanRuleOverUncompiledAttrs covers a rule whose attributes the plan
+// did not compile (possible for a hand-built profile or a decoded plan):
+// its slots resolve to -1 and the check must find the target's values by
+// name among the target-only slots, exactly as the legacy detector finds
+// them in its row.
+func TestPlanRuleOverUncompiledAttrs(t *testing.T) {
+	keys := []string{"port"}
+	var training []*sysimage.Image
+	for i := 0; i < 4; i++ {
+		training = append(training, flatImage(fmt.Sprintf("train-%d", i), map[string]string{"port": "3306"}, keys))
+	}
+	ds, err := assemble.New().AssembleTraining(training)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rule := &rules.Rule{Template: "num-lt", Spec: "[A:Number] < [B:Number]",
+		AttrA: "mysql:mysqld/low", AttrB: "mysql:mysqld/high", Confidence: 1}
+	dt := New(ds, []*rules.Rule{rule})
+	plan := dt.Compile()
+	if pr := plan.rules[0]; pr.slotA != -1 || pr.slotB != -1 {
+		t.Fatalf("rule slots = %d, %d; want -1, -1 for uncompiled attributes", pr.slotA, pr.slotB)
+	}
+	target := flatImage("target", map[string]string{"port": "3306", "low": "9", "high": "5"}, []string{"port", "low", "high"})
+	legacy, err := dt.Check(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := plan.Check(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if legacy.RankOf(func(w *Warning) bool { return w.Kind == KindCorrelation }) == 0 {
+		t.Fatalf("legacy detector missed the violated rule: %v", renderAll(legacy.Warnings))
+	}
+	if !reflect.DeepEqual(legacy, got) {
+		t.Fatalf("plan report differs:\n%v\nlegacy\n%v", renderAll(got.Warnings), renderAll(legacy.Warnings))
 	}
 }

@@ -121,9 +121,7 @@ func NewPlanFromSpec(spec *PlanSpec, asm *assemble.Assembler, tpls []*templates.
 		suspLimit: spec.SuspLimit,
 		assembler: asm,
 		attrStore: make([]planAttr, len(spec.Attrs)),
-		attrs:     make(map[string]*planAttr, len(spec.Attrs)),
 		types:     make(map[string]conftypes.Type, len(spec.Types)),
-		names:     make(map[string]string, 8),
 		nameIdx:   make([]nameCand, 0, len(spec.Attrs)),
 	}
 	for i := range spec.Attrs {
@@ -140,24 +138,19 @@ func NewPlanFromSpec(spec *PlanSpec, asm *assemble.Assembler, tpls []*templates.
 			check:   checkers.get(sa.Type),
 		}
 		pa.deriveScores(p.samples)
-		p.attrs[sa.Name] = pa
 		if !sa.Augmented {
 			p.nameIdx = append(p.nameIdx, nameCand{name: sa.Name, sig: sa.Sig})
 		}
 	}
 	for _, ty := range spec.Types {
 		p.types[ty.Name] = ty.Type
-		if _, ok := p.attrs[ty.Name]; !ok {
-			p.names[ty.Name] = ty.Name
-		}
 	}
 	for _, r := range spec.Rules {
 		if tpl := findTemplate(tpls, r.Template); tpl != nil {
 			p.rules = append(p.rules, planRule{rule: r, tpl: tpl})
 		}
 	}
-	p.pool.New = func() any { return newScratch(p) }
-	return p, nil
+	return p.finish(), nil
 }
 
 // findTemplate resolves a template ID against an installed set (the

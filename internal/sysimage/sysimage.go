@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"path"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -167,11 +168,44 @@ func (im *Image) Clone() *Image {
 // normalize cleans a path for lookup: collapses duplicate separators and
 // trailing slashes (except root).
 func normalize(p string) string {
-	if p == "" {
+	if p == "" || isPlainAbs(p) {
 		return p
 	}
-	cleaned := path.Clean(p)
-	return cleaned
+	return path.Clean(p)
+}
+
+// isPlainAbs reports whether p is an absolute path with no empty, "." or
+// ".." element and no trailing slash — a path path.Clean returns
+// unchanged. It is a sufficient test, not a complete one (a dot-file
+// element such as "/home/u/.ssh" fails it), so callers fall back to
+// path.Clean; it exists because every environment probe normalizes its
+// argument and nearly every argument is already plain.
+func isPlainAbs(p string) bool {
+	if p == "/" {
+		return true
+	}
+	if len(p) < 2 || p[0] != '/' || p[len(p)-1] == '/' {
+		return false
+	}
+	for i := 0; i < len(p)-1; i++ {
+		if p[i] == '/' && (p[i+1] == '/' || p[i+1] == '.') {
+			return false
+		}
+	}
+	return true
+}
+
+// parentDir is path.Dir(p), skipping the cleaning pass when the directory
+// part is plain.
+func parentDir(p string) string {
+	i := strings.LastIndexByte(p, '/')
+	if i == 0 {
+		return "/"
+	}
+	if i > 0 && isPlainAbs(p[:i]) {
+		return p[:i]
+	}
+	return path.Dir(p)
 }
 
 // AddFile records file metadata, creating parent directories implicitly
@@ -256,20 +290,21 @@ func (im *Image) Children(dir string) []*FileMeta {
 
 // HasSubdir reports whether the directory contains at least one
 // sub-directory.
-func (im *Image) HasSubdir(dir string) bool {
-	for _, c := range im.Children(dir) {
-		if c.Kind == KindDir {
-			return true
-		}
-	}
-	return false
-}
+func (im *Image) HasSubdir(dir string) bool { return im.hasChildOfKind(dir, KindDir) }
 
 // HasSymlink reports whether the directory contains at least one symbolic
 // link.
-func (im *Image) HasSymlink(dir string) bool {
-	for _, c := range im.Children(dir) {
-		if c.Kind == KindSymlink {
+func (im *Image) HasSymlink(dir string) bool { return im.hasChildOfKind(dir, KindSymlink) }
+
+// hasChildOfKind reports whether some direct child of dir (by Children's
+// definition) has the given kind, in one pass over the file table without
+// collecting or sorting the children. The kind test runs first so the
+// parent comparison only runs on candidates; it allocates only for a key
+// whose directory part is not already clean.
+func (im *Image) hasChildOfKind(dir string, kind FileKind) bool {
+	dir = normalize(dir)
+	for p, fm := range im.Files {
+		if fm.Kind == kind && p != dir && parentDir(p) == dir {
 			return true
 		}
 	}
@@ -421,6 +456,14 @@ func (im *Image) SetConfig(app, path, content string) {
 		}
 	}
 	im.ConfigFiles = append(im.ConfigFiles, ConfigFile{App: app, Path: path, Content: content})
+}
+
+// PermString renders permission bits the way configuration files and the
+// Table 5a permission attribute spell them: a leading zero and the octal
+// mode ("0644"; "00" for no bits).
+func PermString(mode uint32) string {
+	var buf [12]byte
+	return string(strconv.AppendUint(append(buf[:0], '0'), uint64(mode), 8))
 }
 
 // FileList returns every path in the image, sorted. It backs the

@@ -21,7 +21,9 @@ import (
 
 // Ctx is the evaluation context for one system: its dataset row and the
 // system image environment (for validators that consult the file system,
-// accounts, or services).
+// accounts, or services). Validators receive the attribute values as
+// arguments; Row is set during rule inference and by the legacy detector,
+// but the compiled check plan (detect.Plan) leaves it nil.
 type Ctx struct {
 	Row   *dataset.Row
 	Image *sysimage.Image
