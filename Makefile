@@ -75,35 +75,35 @@ eval-matrix-smoke:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Rule-inference perf trajectory: run the RuleInference benches (serial
-# oracle, parallel, indexed with the corpus-scaling axis) and record the
-# machine-readable results so speedups/regressions are tracked across PRs.
-bench-rules:
-	$(GO) test -run '^$$' -bench=RuleInference -benchmem -json . > BENCH_rules.json.tmp && mv BENCH_rules.json.tmp BENCH_rules.json
-	./scripts/bench_summary.sh BENCH_rules.json
-	@grep -o '"Output":"[^"]*"' BENCH_rules.json | sed 's/^"Output":"//;s/"$$//' | \
+# bench-run records one benchmark family into BENCH_$(1).json: $(2) is
+# the -bench pattern, $(3) the package, $(4) extra go test flags. Every
+# family runs five times at GOMAXPROCS=1 and at every core, so the
+# summary's median/min/max carry the spread and the -N suffix names the
+# condition. The capture lands in a .tmp file renamed into place, so a
+# failed run never truncates the recorded file.
+define bench-run
+	$(GO) test -run '^$$' -bench='$(2)' -benchmem -count 5 -cpu 1,$$(getconf _NPROCESSORS_ONLN) $(4) -json $(3) > BENCH_$(1).json.tmp && mv BENCH_$(1).json.tmp BENCH_$(1).json
+	./scripts/bench_summary.sh BENCH_$(1).json
+	@grep -o '"Output":"[^"]*"' BENCH_$(1).json | sed 's/^"Output":"//;s/"$$//' | \
 		awk '{gsub(/\\t/,"\t");gsub(/\\n/,"\n");printf "%s",$$0}' | grep 'ns/op'
+endef
 
-# Batch-scan perf trajectory: the serial and NumCPU-worker fleet scans,
-# recorded machine-readably like bench-rules so scan throughput is
-# tracked across PRs.
+# Rule-inference perf trajectory: the RuleInference benches (serial
+# oracle, parallel, indexed with the corpus-scaling axis).
+bench-rules:
+	$(call bench-run,rules,RuleInference,.)
+
+# Batch-scan perf trajectory: the scan engine (fleet coordinator over
+# resident images) at 1 and NumCPU workers, plus the corpus-size ×
+# worker-count surface.
 bench-scan:
-	$(GO) test -run '^$$' -bench=BatchScan -benchmem -json . > BENCH_scan.json.tmp && mv BENCH_scan.json.tmp BENCH_scan.json
-	./scripts/bench_summary.sh BENCH_scan.json
-	@grep -o '"Output":"[^"]*"' BENCH_scan.json | sed 's/^"Output":"//;s/"$$//' | \
-		awk '{gsub(/\\t/,"\t");gsub(/\\n/,"\n");printf "%s",$$0}' | grep 'ns/op'
+	$(call bench-run,scan,BatchScan,.)
 
 # Per-image check-path perf trajectory: the legacy detector, the
 # profile-backed detector, and the compiled check plan on the same corpus
-# and target, recorded machine-readably like bench-scan. The plan/legacy
-# ratio is the allocation-diet headline. Five runs at GOMAXPROCS=1 and at
-# every core, so the summary's median/min/max carry the spread and the
-# -N suffix names the condition.
+# and target. The plan/legacy ratio is the allocation-diet headline.
 bench-check:
-	$(GO) test -run '^$$' -bench='DetectorCheck|ProfileCheck|PlanCheck' -benchmem -count 5 -cpu 1,$$(getconf _NPROCESSORS_ONLN) -json . > BENCH_check.json.tmp && mv BENCH_check.json.tmp BENCH_check.json
-	./scripts/bench_summary.sh BENCH_check.json
-	@grep -o '"Output":"[^"]*"' BENCH_check.json | sed 's/^"Output":"//;s/"$$//' | \
-		awk '{gsub(/\\t/,"\t");gsub(/\\n/,"\n");printf "%s",$$0}' | grep 'ns/op'
+	$(call bench-run,check,DetectorCheck|ProfileCheck|PlanCheck,.)
 
 # Plan cold-start trajectory: decoding the binary plan vs compiling from
 # the JSON profile vs a full re-learn (all three starting from serialized
@@ -111,31 +111,21 @@ bench-check:
 # compile-from-profile and binary-load / full-relearn ratios are the
 # format's reason to exist; eyeball them when this file changes.
 bench-plan:
-	$(GO) test -run '^$$' -bench='PlanColdStart|IncrementalInfer' -benchmem -json . > BENCH_plan.json.tmp && mv BENCH_plan.json.tmp BENCH_plan.json
-	./scripts/bench_summary.sh BENCH_plan.json
-	@grep -o '"Output":"[^"]*"' BENCH_plan.json | sed 's/^"Output":"//;s/"$$//' | \
-		awk '{gsub(/\\t/,"\t");gsub(/\\n/,"\n");printf "%s",$$0}' | grep 'ns/op'
+	$(call bench-run,plan,PlanColdStart|IncrementalInfer,.)
 
 # Resident-daemon throughput trajectory: full-stack scan requests over
-# real HTTP (decode + registry load + Plan.Check + report render),
-# recorded machine-readably like the other bench families. ns/op is the
-# request latency floor; allocs/op the per-request allocation budget.
+# real HTTP (decode + registry load + Plan.Check + report render). ns/op
+# is the request latency floor; allocs/op the per-request allocation
+# budget.
 bench-serve:
-	$(GO) test -run '^$$' -bench=ServeScan -benchmem -json ./internal/serve > BENCH_serve.json.tmp && mv BENCH_serve.json.tmp BENCH_serve.json
-	./scripts/bench_summary.sh BENCH_serve.json
-	@grep -o '"Output":"[^"]*"' BENCH_serve.json | sed 's/^"Output":"//;s/"$$//' | \
-		awk '{gsub(/\\t/,"\t");gsub(/\\n/,"\n");printf "%s",$$0}' | grep 'ns/op'
+	$(call bench-run,serve,ServeScan,./internal/serve)
 
 # Fleet-scale perf trajectory: the sharded coordinator over 1k/10k/100k
-# synthetic fleets, recorded machine-readably like the other bench
-# families. ns/image is the throughput headline; peak-heap-bytes staying
-# flat across the 1k→100k axis is the constant-memory claim, and
+# synthetic fleets. ns/image is the throughput headline; peak-heap-bytes
+# staying flat across the 1k→100k axis is the constant-memory claim, and
 # steals/op shows the work-stealing deques actually engage.
 bench-fleet:
-	$(GO) test -run '^$$' -bench=FleetScan -benchmem -timeout 30m -json . > BENCH_fleet.json.tmp && mv BENCH_fleet.json.tmp BENCH_fleet.json
-	./scripts/bench_summary.sh BENCH_fleet.json
-	@grep -o '"Output":"[^"]*"' BENCH_fleet.json | sed 's/^"Output":"//;s/"$$//' | \
-		awk '{gsub(/\\t/,"\t");gsub(/\\n/,"\n");printf "%s",$$0}' | grep 'ns/op'
+	$(call bench-run,fleet,FleetScan,.,-timeout 30m)
 
 # Refresh every recorded benchmark file in one go.
 bench-all: bench-rules bench-scan bench-check bench-plan bench-serve bench-fleet
@@ -160,5 +150,6 @@ fuzz:
 	$(GO) test ./internal/sysimage -fuzz FuzzLoadJSON -fuzztime 10s
 	$(GO) test ./internal/conftypes -fuzz FuzzSyntacticMatch -fuzztime 10s
 
+# Fail when any Go file is not gofmt-clean, listing the offenders.
 fmt:
-	gofmt -l .
+	@files=$$(gofmt -l .); [ -z "$$files" ] || { echo "gofmt needed on:"; echo "$$files"; exit 1; }

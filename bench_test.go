@@ -546,33 +546,35 @@ func benchScanFleet(b *testing.B) (*Framework, *Knowledge, []*Image) {
 	return fw, k, targets
 }
 
-// BenchmarkBatchScanWorkers1 / NumCPU measure the batch scan engine at
-// pool sizes 1 and NumCPU over the same fleet.
-func BenchmarkBatchScanWorkers1(b *testing.B) {
-	fw, k, targets := benchScanFleet(b)
-	eng := fw.ScanEngine(k)
-	eng.Workers = 1
+// benchBatchScan scans resident images through the framework's scan
+// engine (the fleet coordinator over an ImageSource) once per op.
+func benchBatchScan(b *testing.B, coord *fleet.Coordinator, images []*Image) {
+	b.Helper()
+	src := &fleet.ImageSource{Images: images}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Scan(targets); err != nil {
+		if _, _, err := coord.Collect(context.Background(), src); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkBatchScanWorkers1 / NumCPU measure the batch scan engine at
+// 1 and NumCPU workers over the same fleet.
+func BenchmarkBatchScanWorkers1(b *testing.B) {
+	fw, k, targets := benchScanFleet(b)
+	coord := fw.ScanEngine(fw.CompilePlan(k))
+	coord.Opts.Workers = 1
+	benchBatchScan(b, coord, targets)
 }
 
 func BenchmarkBatchScanWorkersNumCPU(b *testing.B) {
 	fw, k, targets := benchScanFleet(b)
-	eng := fw.ScanEngine(k) // Workers 0 = NumCPU
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Scan(targets); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchBatchScan(b, fw.ScanEngine(fw.CompilePlan(k)), targets) // Workers 0 = NumCPU
 }
 
 // BenchmarkBatchScanWorkers records the worker-scaling surface of the
-// batch scan: one sub-benchmark per (corpus size, pool size) point. The
+// batch scan: one sub-benchmark per (corpus size, worker count) point. The
 // corpus-size axis exists because a 32-image fleet finishes too fast for
 // the workers axis to discriminate (its 1-worker and NumCPU-worker points
 // used to report identical ns/op); the 1k and 10k points replicate the
@@ -581,7 +583,7 @@ func BenchmarkBatchScanWorkersNumCPU(b *testing.B) {
 // it) is visible in ns/image.
 func BenchmarkBatchScanWorkers(b *testing.B) {
 	fw, k, targets := benchScanFleet(b)
-	eng := fw.ScanEngine(k)
+	coord := fw.ScanEngine(fw.CompilePlan(k))
 	axis := []int{1, 2, 4}
 	if n := runtime.NumCPU(); n != 1 && n != 2 && n != 4 {
 		axis = append(axis, n)
@@ -593,13 +595,8 @@ func BenchmarkBatchScanWorkers(b *testing.B) {
 		}
 		for _, w := range axis {
 			b.Run(fmt.Sprintf("images=%d/workers=%d", size, w), func(b *testing.B) {
-				eng.Workers = w
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.Scan(images); err != nil {
-						b.Fatal(err)
-					}
-				}
+				coord.Opts.Workers = w
+				benchBatchScan(b, coord, images)
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(size), "ns/image")
 			})
 		}
@@ -614,7 +611,7 @@ func BenchmarkBatchScanWorkers(b *testing.B) {
 // 10k point — and the steal rate.
 func BenchmarkFleetScan(b *testing.B) {
 	fw, k, targets := benchScanFleet(b)
-	eng := fw.ScanEngine(k)
+	plan := fw.CompilePlan(k)
 	for _, size := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("images=%d", size), func(b *testing.B) {
 			src, err := fleet.NewSyntheticSource(targets[:4], size)
@@ -627,7 +624,7 @@ func BenchmarkFleetScan(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := telemetry.NewSampler(2*time.Millisecond, 1<<15)
 				s.Start()
-				coord := &fleet.Coordinator{Opts: fleet.Options{Check: eng.Check, Shards: 4}}
+				coord := &fleet.Coordinator{Opts: fleet.Options{Check: plan.Check, Shards: 4}}
 				stats, err := coord.Run(context.Background(), src, func(int, scan.Item) {})
 				s.Stop()
 				if err != nil {

@@ -87,7 +87,7 @@ func usage() {
   encore learn    -training DIR [-rules FILE] [-profile FILE] [-custom FILE] [telemetry flags]
   encore compile  (-training DIR | -profile FILE) -plan-out FILE [-custom FILE] [telemetry flags]
   encore check    (-training DIR | -profile FILE | -plan FILE) -target FILE [-top N] [-json] [-advise] [telemetry flags]
-  encore scan     (-training DIR | -profile FILE | -plan FILE) -targets DIR [-min-warnings N] [-strict] [-workers N] [-progress] [-alerts POLICY.yaml] [telemetry flags]
+  encore scan     (-training DIR | -profile FILE | -plan FILE) -targets DIR [-min-warnings N] [-strict] [-workers N] [-shards N] [-fleet N] [-progress] [-alerts POLICY.yaml] [telemetry flags]
   encore rules    (-training DIR | -profile FILE) [-custom FILE]
   encore collect  -root DIR -id NAME -app NAME=RELPATH [-app ...] -out FILE
   encore assemble -training DIR [-csv FILE]
@@ -392,10 +392,10 @@ func runCheck(args []string) (err error) {
 	return nil
 }
 
-// runScan checks every image in a directory through the batch scan engine
-// and prints a fleet summary: per-image warning counts by kind, isolated
-// per-image failures, then the attributes flagged most often across the
-// fleet.
+// runScan checks every image in a directory (or a synthetic fleet cycling
+// it) through the fleet coordinator and prints a fleet summary: per-image
+// warning counts by kind, isolated per-image failures, then the attributes
+// flagged most often across the fleet.
 func runScan(args []string) (err error) {
 	fs := flag.NewFlagSet("scan", flag.ExitOnError)
 	training := fs.String("training", "", "directory of training image JSON files")
@@ -405,9 +405,9 @@ func runScan(args []string) (err error) {
 	minWarnings := fs.Int("min-warnings", 1, "only list images with at least this many warnings")
 	customFile := fs.String("custom", "", "customization file")
 	strict := fs.Bool("strict", false, "abort the batch on the first failing image instead of isolating it")
-	workers := fs.Int("workers", 0, "scan worker pool size (0 = NumCPU)")
-	shards := fs.Int("shards", 0, "scan -targets through the sharded fleet coordinator with this many shards (0 = unsharded engine)")
-	fleetSize := fs.Int("fleet", 0, "scan a synthetic fleet of this many images cycling the -targets corpus (implies the fleet coordinator)")
+	workers := fs.Int("workers", 0, "total scan workers (0 = NumCPU)")
+	shards := fs.Int("shards", 0, "scan coordinator shard count (0 = min(NumCPU, 4), at most -workers)")
+	fleetSize := fs.Int("fleet", 0, "scan a synthetic fleet of this many images cycling the -targets corpus")
 	progress := fs.Bool("progress", false, "report periodic batch progress (done/total, findings, ETA) on stderr")
 	progressEvery := fs.Duration("progress-every", 2*time.Second, "progress reporting interval")
 	alertsFile := fs.String("alerts", "", "alerting policy YAML; findings fan out to its notifiers (see examples/alerts.yaml)")
@@ -417,13 +417,6 @@ func runScan(args []string) (err error) {
 	}
 	if !exactlyOne(*training, *profileIn, *planIn) || *targets == "" {
 		return fmt.Errorf("scan: -targets and exactly one of -training / -profile / -plan are required")
-	}
-	fleetMode := *shards > 0 || *fleetSize > 0
-	if fleetMode && *strict {
-		// Strict mode's contract is "first failure in input order aborts the
-		// batch"; the coordinator processes out of order by design, so
-		// honoring that ordering would serialize the fleet.
-		return fmt.Errorf("scan: -strict cannot be combined with -shards/-fleet")
 	}
 	fw, err := newFramework(*customFile)
 	if err != nil {
@@ -438,16 +431,15 @@ func runScan(args []string) (err error) {
 			err = ferr
 		}
 	}()
-	var eng *scan.Engine
+	var plan *encore.Plan
 	var planVersion string
-	if *planIn != "" {
-		plan, err := loadPlanFile(fw, *planIn)
-		if err != nil {
+	switch {
+	case *planIn != "":
+		if plan, err = loadPlanFile(fw, *planIn); err != nil {
 			return err
 		}
-		eng = fw.ScanEngineWithPlan(plan)
 		planVersion = "plan:" + filepath.Base(*planIn)
-	} else if *profileIn != "" {
+	case *profileIn != "":
 		data, err := os.ReadFile(*profileIn)
 		if err != nil {
 			return err
@@ -456,19 +448,31 @@ func runScan(args []string) (err error) {
 		if err != nil {
 			return err
 		}
-		eng = fw.ScanEngineWithProfile(p)
+		plan = fw.CompilePlanFromProfile(p)
 		planVersion = "profile:" + filepath.Base(*profileIn)
-	} else {
+	default:
 		k, err := learn(fw, *training)
 		if err != nil {
 			return err
 		}
-		eng = fw.ScanEngine(k)
+		plan = fw.CompilePlan(k)
 		planVersion = "training:" + filepath.Base(*training)
 	}
-	eng.Strict = *strict
-	eng.Workers = *workers
-	eng.Log = obs.Log
+	var src fleet.Source
+	if *fleetSize > 0 {
+		imgs, err := sysimage.LoadDir(*targets)
+		if err != nil {
+			return err
+		}
+		if src, err = fleet.NewSyntheticSource(imgs, *fleetSize); err != nil {
+			return err
+		}
+	} else if src, err = fleet.NewDirSource(*targets); err != nil {
+		return err
+	}
+	coord := fw.ScanEngine(plan)
+	coord.Opts.Shards = *shards
+	coord.Opts.Workers = *workers
 	var alerts *alert.Pipeline
 	if *alertsFile != "" {
 		policy, err := alert.LoadPolicyFile(*alertsFile)
@@ -479,63 +483,33 @@ func runScan(args []string) (err error) {
 		if err != nil {
 			return err
 		}
-		// Drain on every exit path; the explicit Shutdown after ScanDir
+		// Drain on every exit path; the explicit Shutdown after the run
 		// makes this a no-op on the happy path. Registered after the
 		// finish() defer so it runs first and the final snapshot sees
 		// every delivery outcome.
 		defer alerts.Shutdown(context.Background())
-		eng.Alerts = alerts
-		eng.PlanVersion = planVersion
+		coord.Opts.Alerts = alerts
+		coord.Opts.PlanVersion = planVersion
 	}
 	if *progress || obs.Serving() {
-		// The reporter needs the batch size up front; count the target
-		// files the same way ScanDir will (synthetic fleets know theirs).
 		// A live -serve run gets a silent reporter even without -progress,
 		// so the runtime sampler can expose encore_progress_done/_total on
 		// /metrics.
-		total := *fleetSize
-		if total == 0 {
-			total, err = countTargets(*targets)
-			if err != nil {
-				return err
-			}
-		}
 		w := io.Writer(os.Stderr)
 		if !*progress {
 			w = io.Discard
 		}
-		p := telemetry.NewProgress(w, "scan", total, *progressEvery)
-		eng.Progress = p
+		p := telemetry.NewProgress(w, "scan", src.Len(), *progressEvery)
+		coord.Opts.Progress = p
 		obs.SetProgress(p)
 		defer p.Stop()
 	}
-
-	if fleetMode {
-		return runFleetScan(eng, obs.Rec, alerts, *targets, *fleetSize, *shards, *minWarnings, planVersion)
-	}
-	result, err := eng.ScanDir(*targets)
-	if err != nil {
-		return err
-	}
-	// Deliver every queued alert before the fleet summary prints, so the
-	// stats line below is final.
-	if err := alerts.Shutdown(context.Background()); err != nil {
-		return err
-	}
-	for _, it := range result.Items {
-		for _, ln := range itemLines(it, *minWarnings) {
-			fmt.Println(ln)
-		}
-	}
-	printScanSummary(result.Summarize(*minWarnings), alerts)
-	return nil
+	return runFleetScan(coord, src, alerts, *minWarnings, *strict)
 }
 
 // itemLines renders the per-image output block for one scan outcome:
 // failures get their FAILED line, flagged images the warning-count line
 // plus the top finding, healthy images below the floor render nothing.
-// Both the unsharded and fleet scan paths print through this renderer, so
-// their output cannot diverge.
 func itemLines(it scan.Item, minWarnings int) []string {
 	if it.Err != nil {
 		name := it.Err.ImageID
@@ -559,7 +533,7 @@ func itemLines(it scan.Item, minWarnings int) []string {
 	return lines
 }
 
-// printScanSummary prints the fleet-wide footer shared by both scan paths.
+// printScanSummary prints the fleet-wide scan footer.
 func printScanSummary(sum scan.Summary, alerts *alert.Pipeline) {
 	if sum.Errors > 0 {
 		fmt.Printf("\nscanned %d images: %d flagged, %d warnings total, %d failed\n",
@@ -584,49 +558,33 @@ func printScanSummary(sum scan.Summary, alerts *alert.Pipeline) {
 	}
 }
 
-// runFleetScan drives the sharded coordinator over the target corpus (or
-// a synthetic fleet cycling it) and reproduces runScan's output byte for
-// byte: outcomes are keyed by global input index and printed in canonical
+// runFleetScan runs the coordinator over src and prints the scan report:
+// outcomes are keyed by global input index and printed in canonical
 // order, the summary accumulates incrementally, and error retention is
 // bounded by scan.ErrorLog so a fleet-wide error storm stays at constant
-// memory.
-func runFleetScan(eng *scan.Engine, rec *telemetry.Recorder, alerts *alert.Pipeline, targets string, fleetSize, shards, minWarnings int, planVersion string) error {
-	var src fleet.Source
-	if fleetSize > 0 {
-		imgs, err := sysimage.LoadDir(targets)
-		if err != nil {
-			return err
-		}
-		src, err = fleet.NewSyntheticSource(imgs, fleetSize)
-		if err != nil {
-			return err
-		}
-	} else {
-		var err error
-		src, err = fleet.NewDirSource(targets)
-		if err != nil {
-			return err
-		}
-	}
+// memory. In strict mode the first failure in input order among the
+// images processed cancels the run and is returned; nothing is printed.
+func runFleetScan(coord *fleet.Coordinator, src fleet.Source, alerts *alert.Pipeline, minWarnings int, strict bool) error {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	var (
-		mu    sync.Mutex
-		lines = map[int][]string{}
-		sum   scan.Summary
-		errs  scan.ErrorLog
+		mu      sync.Mutex
+		lines   = map[int][]string{}
+		sum     scan.Summary
+		errs    scan.ErrorLog
+		failed  *scan.ScanError
+		failIdx int
 	)
-	coord := &fleet.Coordinator{Opts: fleet.Options{
-		Check:       eng.Check,
-		Shards:      shards,
-		Workers:     eng.Workers,
-		Telemetry:   rec,
-		Log:         eng.Log,
-		Progress:    eng.Progress,
-		Alerts:      alerts,
-		PlanVersion: planVersion,
-	}}
-	stats, err := coord.Run(context.Background(), src, func(idx int, it scan.Item) {
+	stats, err := coord.Run(ctx, src, func(idx int, it scan.Item) {
 		mu.Lock()
 		defer mu.Unlock()
+		if strict && it.Err != nil {
+			if failed == nil || idx < failIdx {
+				failed, failIdx = it.Err, idx
+			}
+			cancel()
+			return
+		}
 		sum.Observe(it, minWarnings)
 		if it.Err != nil && !errs.Add(it.Err) {
 			return // past the retention cap: counted above, not printed
@@ -635,6 +593,9 @@ func runFleetScan(eng *scan.Engine, rec *telemetry.Recorder, alerts *alert.Pipel
 			lines[idx] = ls
 		}
 	})
+	if failed != nil {
+		return failed
+	}
 	if err != nil {
 		return err
 	}
@@ -658,8 +619,8 @@ func runFleetScan(eng *scan.Engine, rec *telemetry.Recorder, alerts *alert.Pipel
 	}
 	sum.Finish()
 	printScanSummary(sum, alerts)
-	// Topology note goes to stderr: stdout must stay byte-identical to the
-	// unsharded engine's report.
+	// The topology note goes to stderr: stdout depends only on the fleet
+	// and the plan, never on shard or worker counts.
 	fmt.Fprintf(os.Stderr, "fleet: %d shards, %d workers, %d steals, %s high water\n",
 		stats.Shards, stats.Workers, stats.Steals, formatBytes(stats.HighWaterBytes))
 	return nil
@@ -675,21 +636,6 @@ func formatBytes(n int64) string {
 	default:
 		return fmt.Sprintf("%dB", n)
 	}
-}
-
-// countTargets counts the "*.json" images ScanDir will pick up in dir.
-func countTargets(dir string) (int, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, ent := range entries {
-		if !ent.IsDir() && strings.HasSuffix(ent.Name(), ".json") {
-			n++
-		}
-	}
-	return n, nil
 }
 
 // runRules prints the learned rules in human-readable form, grouped by

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/scan"
 	"repro/internal/sysimage"
 	"repro/internal/telemetry"
 )
@@ -621,7 +623,7 @@ func TestAppFlagsSet(t *testing.T) {
 
 // TestRunScanFleetByteIdentical is the CLI half of the fleet determinism
 // property: `encore scan -shards N` must print byte-identical stdout to
-// the unsharded engine across topologies, corrupt images included.
+// the default topology across shard counts, corrupt images included.
 func TestRunScanFleetByteIdentical(t *testing.T) {
 	training, _ := fixture(t)
 	targets := t.TempDir()
@@ -685,8 +687,97 @@ func TestRunScanFleetByteIdentical(t *testing.T) {
 		t.Fatalf("-fleet 40 summary wrong:\n%s", syn)
 	}
 
-	// -strict is incompatible with the out-of-order coordinator.
-	if err := runScan([]string{"-training", training, "-targets", targets, "-shards", "2", "-strict"}); err == nil {
-		t.Fatal("-strict -shards should be rejected")
+	// -strict aborts on corrupt.json, the only failing image, whatever the
+	// topology.
+	err = runScan([]string{"-training", training, "-targets", targets, "-shards", "2", "-strict"})
+	var se *scan.ScanError
+	if !errors.As(err, &se) || filepath.Base(se.Path) != "corrupt.json" {
+		t.Fatalf("-strict -shards 2 error = %v, want corrupt.json's ScanError", err)
+	}
+}
+
+// TestRunScanStrict pins -strict's contract on every topology: the first
+// failure in input order among the images processed aborts the run, its
+// ScanError is returned, and nothing reaches stdout.
+func TestRunScanStrict(t *testing.T) {
+	training, _ := fixture(t)
+	targets := t.TempDir()
+	images, err := corpus.Training("mysql", 6, 91)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two images that decode but fail config parsing: the earlier one in
+	// file-name order is the one -strict must report.
+	for _, i := range []int{2, 4} {
+		images[i].ConfigFiles = append(images[i].ConfigFiles, sysimage.ConfigFile{
+			App: "mysql", Path: "/etc/mysql/broken.cnf", Content: "[unterminated\n",
+		})
+	}
+	if err := sysimage.SaveDir(targets, images); err != nil {
+		t.Fatal(err)
+	}
+	// A single worker processes in input order, so it must report the
+	// earlier image; wider topologies may reach either one first.
+	cases := []struct {
+		args  []string
+		first string
+	}{
+		{nil, ""},
+		{[]string{"-workers", "1"}, images[2].ID},
+		{[]string{"-shards", "2"}, ""},
+		{[]string{"-shards", "3", "-workers", "3"}, ""},
+		{[]string{"-fleet", "30"}, ""},
+	}
+	for _, tc := range cases {
+		oldOut := os.Stdout
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		os.Stdout = w
+		runErr := runScan(append([]string{"-training", training, "-targets", targets, "-strict"}, tc.args...))
+		w.Close()
+		os.Stdout = oldOut
+		out, _ := io.ReadAll(r)
+		var se *scan.ScanError
+		if !errors.As(runErr, &se) || !strings.Contains(se.Error(), "broken.cnf") {
+			t.Fatalf("%v: error = %v, want a ScanError naming broken.cnf", tc.args, runErr)
+		}
+		if tc.first != "" && se.ImageID != tc.first {
+			t.Fatalf("%v: first failure = %s, want %s (input order)", tc.args, se.ImageID, tc.first)
+		}
+		if len(out) != 0 {
+			t.Fatalf("%v: strict failure printed to stdout:\n%s", tc.args, out)
+		}
+	}
+
+	// Fail-fast: one worker over a 600-image synthetic fleet stops soon
+	// after the first failure (synthetic index 2) instead of scanning on.
+	statsOut := filepath.Join(t.TempDir(), "stats.json")
+	if err := runScan([]string{"-training", training, "-targets", targets, "-strict",
+		"-workers", "1", "-fleet", "600", "-stats-json", statsOut}); err == nil {
+		t.Fatal("strict synthetic scan should fail")
+	}
+	data, err := os.ReadFile(statsOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Counters []struct {
+			Name  string `json:"name"`
+			Value int64  `json:"value"`
+		} `json:"counters"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	scanned := int64(-1)
+	for _, c := range snap.Counters {
+		if c.Name == "scan.images.scanned" {
+			scanned = c.Value
+		}
+	}
+	if scanned < 3 || scanned >= 300 {
+		t.Fatalf("strict run scanned %d of 600 images; want it to stop soon after the failure at index 2", scanned)
 	}
 }

@@ -1,10 +1,9 @@
-// Package fleet is the sharded scan coordinator: it pushes the batch
-// scan engine from corpus-sized directories to 100k+-image fleets at
-// constant memory.
+// Package fleet is the scan engine: every batch scan — the CLI, the
+// library's Framework.ScanEngine, and the daemon's batch endpoint — runs
+// through its sharded coordinator, from a handful of resident images to
+// 100k+-image fleets at constant memory.
 //
-// The unsharded engine (internal/scan) pre-fills one buffered channel
-// with every task index — fine at 32 images, unbounded at fleet scale.
-// The coordinator instead splits the fleet's canonical input order into S
+// The coordinator splits the fleet's canonical input order into S
 // contiguous shards. Each shard owns a bounded deque fed by its own
 // discovery goroutine (backpressure: discovery blocks when its workers
 // lag) and a group of workers popping the deque front. A worker whose
@@ -17,15 +16,17 @@
 // bounded deques are resident — images stream through the pooled decode
 // buffers and die young. Explicitly, a global budget meters the estimated
 // bytes of every in-flight image payload: workers reserve before loading
-// and release after checking, and the reservation high-water mark is
-// exported as a gauge so the runtime sampler's heap trace can be read
-// against it. Peak RSS stays flat as the fleet grows 10×.
+// and release after checking, and the current reservation and its
+// high-water mark are exported as gauges so the runtime sampler's heap
+// trace can be read against them. Peak RSS stays flat as the fleet grows
+// 10×.
 //
 // Determinism: every task index is processed exactly once and delivered
-// to the sink with its index; aggregating by index reproduces the
-// unsharded engine's output byte for byte, regardless of shard count,
-// worker count, or steal schedule. The per-image work itself (load +
-// Plan.Check) is deterministic, so only ordering needs recovering.
+// to the sink with its index; aggregating by index reproduces a serial
+// walk of the fleet in input order byte for byte, regardless of shard
+// count, worker count, or steal schedule. The per-image work itself
+// (load + Plan.Check) is deterministic, so only ordering needs
+// recovering.
 package fleet
 
 import (
@@ -70,7 +71,8 @@ type Options struct {
 	// Check produces the report for one image. Required.
 	Check scan.CheckFunc
 	// Shards is the number of discovery/worker groups; 0 picks
-	// min(NumCPU, 4) and is always clamped to the fleet size.
+	// min(NumCPU, 4), capped at an explicit Workers count, and the count
+	// is always clamped to the fleet size.
 	Shards int
 	// Workers is the total worker count across all shards; 0 means
 	// NumCPU, and the count is raised to at least one per shard.
@@ -221,7 +223,7 @@ func (c *Coordinator) Run(ctx context.Context, src Source, sink Sink) (Stats, er
 
 	rec := c.Opts.Telemetry
 	defer rec.StartStage(telemetry.StageScanBatch)()
-	root := rec.StartSpan("fleet.batch",
+	root := rec.StartSpan("scan.batch",
 		telemetry.A("images", strconv.Itoa(n)),
 		telemetry.A("shards", strconv.Itoa(shards)),
 		telemetry.A("workers", strconv.Itoa(workers)))
@@ -300,9 +302,8 @@ func (c *Coordinator) Run(ctx context.Context, src Source, sink Sink) (Stats, er
 }
 
 // Collect runs the coordinator over src and gathers every item into a
-// Result in canonical input order — the drop-in sharded equivalent of
-// Engine.ScanDir, for fleets small enough to retain whole. Fleet-scale
-// consumers should pass Run a streaming sink instead.
+// Result in canonical input order, for fleets small enough to retain
+// whole. Fleet-scale consumers should pass Run a streaming sink instead.
 func (c *Coordinator) Collect(ctx context.Context, src Source) (*scan.Result, Stats, error) {
 	items := make([]scan.Item, src.Len())
 	stats, err := c.Run(ctx, src, func(idx int, it scan.Item) {
@@ -318,9 +319,11 @@ func (c *Coordinator) Collect(ctx context.Context, src Source) (*scan.Result, St
 func (c *Coordinator) topology(n int) (shards, workers int) {
 	shards = c.Opts.Shards
 	if shards <= 0 {
-		shards = runtime.NumCPU()
-		if shards > 4 {
-			shards = 4
+		shards = min(runtime.NumCPU(), 4)
+		if c.Opts.Workers > 0 {
+			// An explicit worker count is honored exactly; the default
+			// shard count must not raise it.
+			shards = min(shards, c.Opts.Workers)
 		}
 	}
 	if n > 0 && shards > n {
@@ -472,6 +475,8 @@ func (r *run) take() {
 // acquire reserves size budget bytes, blocking while the fleet is over
 // budget. Oversized single images are admitted alone (the reservation
 // clamps to the budget) rather than deadlocking. Returns false on cancel.
+// The in-flight gauge is published under budgetMu, here and in release,
+// so concurrent updates land in reservation order.
 func (r *run) acquire(size int64) bool {
 	if size <= 0 {
 		return !r.canceled.Load()
@@ -491,9 +496,8 @@ func (r *run) acquire(size int64) bool {
 	if r.inflight > r.highWater {
 		r.highWater = r.inflight
 	}
-	cur := r.inflight
+	r.opts.Telemetry.SetGauge(MetricInflightBytes, "", float64(r.inflight))
 	r.budgetMu.Unlock()
-	r.opts.Telemetry.SetGauge(MetricInflightBytes, "", float64(cur))
 	return true
 }
 
@@ -507,6 +511,7 @@ func (r *run) release(size int64) {
 	}
 	r.budgetMu.Lock()
 	r.inflight -= size
+	r.opts.Telemetry.SetGauge(MetricInflightBytes, "", float64(r.inflight))
 	r.budgetMu.Unlock()
 	r.budgetCond.Signal()
 }
@@ -514,7 +519,7 @@ func (r *run) release(size int64) {
 // worker drains its home shard front-to-back, then turns thief: it
 // sweeps the other shards' deque tails until the whole fleet is taken.
 func (r *run) worker(root *telemetry.Span, id, home int) {
-	ws := root.StartChild("fleet.worker",
+	ws := root.StartChild("scan.worker",
 		telemetry.A("worker", strconv.Itoa(id)),
 		telemetry.A("shard", strconv.Itoa(home)))
 	defer ws.End()
@@ -557,9 +562,9 @@ func (r *run) steal(home int) (idx int, ok bool) {
 	return 0, false
 }
 
-// process loads, checks, and delivers one task — the same per-image
-// semantics as the unsharded engine's runOne plus its telemetry, alert,
-// and progress side effects.
+// process loads, checks, and delivers one task: the one definition of
+// "scan one image" — a load or check failure becomes the item's
+// ScanError — plus its telemetry, alert, and progress side effects.
 func (r *run) process(idx int, hist *telemetry.Histogram) {
 	size := r.src.Size(idx)
 	if !r.acquire(size) {

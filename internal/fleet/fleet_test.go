@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -82,19 +83,43 @@ func itemsEqual(t *testing.T, i int, got, want scan.Item) {
 	}
 }
 
-// TestFleetMatchesUnsharded is the determinism property test: across
-// shard/worker/queue/budget configurations — including degenerate ones
-// that force heavy stealing or heavy budget contention — the coordinator's
-// index-aggregated output is item-for-item identical to the unsharded
-// engine's. Run under -race this also exercises the deque and budget
-// synchronization.
-func TestFleetMatchesUnsharded(t *testing.T) {
-	fw, k, dir := testFleet(t, 14, "0corrupt.json", "mcorrupt.json")
-	eng := fw.ScanEngine(k)
-	want, err := eng.ScanDir(dir)
+// serialScan is the oracle for the coordinator's output: a plain loop over
+// dir's "*.json" files in sorted name order that loads and checks one
+// image at a time.
+func serialScan(t *testing.T, dir string, check scan.CheckFunc) []scan.Item {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sort.Strings(paths)
+	items := make([]scan.Item, len(paths))
+	for i, path := range paths {
+		img, err := sysimage.LoadFile(path)
+		if err != nil {
+			items[i] = scan.Item{Err: &scan.ScanError{Path: path, Err: err}}
+			continue
+		}
+		report, err := check(img)
+		if err != nil {
+			items[i] = scan.Item{ImageID: img.ID, Err: &scan.ScanError{ImageID: img.ID, Path: path, Err: err}}
+			continue
+		}
+		items[i] = scan.Item{ImageID: img.ID, Report: report}
+	}
+	return items
+}
+
+// TestFleetMatchesUnsharded is the determinism property test: across
+// shard/worker/queue/budget configurations — including degenerate ones
+// that force heavy stealing or heavy budget contention — the coordinator's
+// index-aggregated output is item-for-item identical to a serial load +
+// Plan.Check loop over the same directory. Run under -race this also
+// exercises the deque and budget synchronization.
+func TestFleetMatchesUnsharded(t *testing.T) {
+	fw, k, dir := testFleet(t, 14, "0corrupt.json", "mcorrupt.json")
+	plan := fw.CompilePlan(k)
+	want := &scan.Result{Items: serialScan(t, dir, plan.Check)}
 
 	configs := []fleet.Options{
 		{},                                       // defaults
@@ -106,7 +131,7 @@ func TestFleetMatchesUnsharded(t *testing.T) {
 		{Shards: 5, Workers: 2},                  // fewer workers than shards (raised)
 	}
 	for ci, opts := range configs {
-		opts.Check = eng.Check
+		opts.Check = plan.Check
 		src, err := fleet.NewDirSource(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -292,6 +317,92 @@ func TestFleetMemoryBudgetInvariant(t *testing.T) {
 	}
 	if stats.HighWaterBytes > budget {
 		t.Fatalf("high water %d exceeds budget %d", stats.HighWaterBytes, budget)
+	}
+}
+
+// TestFleetInflightGaugeTracksReservations pins the in-flight bytes
+// gauge to the live reservation: while checks are held it equals the
+// bytes reserved, and it drops as soon as one check is released — before
+// Run's final zeroing.
+func TestFleetInflightGaugeTracksReservations(t *testing.T) {
+	const size = 1 << 20
+	rec := telemetry.New()
+	// Buffered to the task count so no check blocks on announcing itself
+	// if the test fails early; the deferred release then unblocks them all.
+	entered := make(chan struct{}, 3)
+	release := make(chan struct{})
+	releaseAll := sync.OnceFunc(func() { close(release) })
+	defer releaseAll()
+	coord := &fleet.Coordinator{Opts: fleet.Options{
+		Check: func(img *sysimage.Image) (*detect.Report, error) {
+			entered <- struct{}{}
+			<-release
+			return &detect.Report{SystemID: img.ID}, nil
+		},
+		Shards:    1,
+		Workers:   3,
+		Telemetry: rec,
+	}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := coord.Run(context.Background(), &sizedSource{n: 3, size: size}, func(int, scan.Item) {})
+		done <- err
+	}()
+	for i := 0; i < 3; i++ {
+		<-entered
+	}
+	gauge := func() float64 {
+		v, _ := rec.Gauge(fleet.MetricInflightBytes, "")
+		return v
+	}
+	if got := gauge(); got != 3*size {
+		t.Fatalf("gauge with 3 checks held = %v, want %v", got, 3*size)
+	}
+	release <- struct{}{}
+	deadline := time.Now().Add(5 * time.Second)
+	for gauge() != 2*size {
+		if time.Now().After(deadline) {
+			t.Fatalf("gauge after releasing one check = %v, want %v", gauge(), 2*size)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	releaseAll()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := gauge(); got != 0 {
+		t.Fatalf("gauge after the run = %v, want 0", got)
+	}
+}
+
+// TestFleetTopology pins how shard and worker counts resolve: an explicit
+// worker count is honored exactly (the default shard count never raises
+// it), explicit shards raise workers to one per shard, and both clamp to
+// the fleet size.
+func TestFleetTopology(t *testing.T) {
+	cases := []struct {
+		opts                fleet.Options
+		n                   int
+		wantShards, wantWks int
+	}{
+		{fleet.Options{Workers: 1}, 10, 1, 1},
+		{fleet.Options{Shards: 5, Workers: 2}, 10, 5, 5},
+		{fleet.Options{Shards: 8, Workers: 8}, 3, 3, 3},
+		{fleet.Options{}, 1, 1, 1},
+	}
+	for _, tc := range cases {
+		tc.opts.Check = func(img *sysimage.Image) (*detect.Report, error) {
+			return &detect.Report{SystemID: img.ID}, nil
+		}
+		coord := &fleet.Coordinator{Opts: tc.opts}
+		stats, err := coord.Run(context.Background(), &sleepSource{n: tc.n}, func(int, scan.Item) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Shards != tc.wantShards || stats.Workers != tc.wantWks {
+			t.Fatalf("shards=%d workers=%d over %d images: got %d shards, %d workers; want %d, %d",
+				tc.opts.Shards, tc.opts.Workers, tc.n, stats.Shards, stats.Workers, tc.wantShards, tc.wantWks)
+		}
 	}
 }
 

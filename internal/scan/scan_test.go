@@ -16,15 +16,19 @@ import (
 	"repro/internal/alert"
 	"repro/internal/corpus"
 	"repro/internal/detect"
+	"repro/internal/fleet"
 	"repro/internal/inject"
 	"repro/internal/scan"
 	"repro/internal/sysimage"
 	"repro/internal/telemetry"
 )
 
-// fleet returns learned knowledge plus a target fleet whose image at index
-// corruptAt (if >= 0) fails assembly with a parse error.
-func fleet(t *testing.T, n, corruptAt int) (*encore.Framework, *encore.Knowledge, []*sysimage.Image) {
+// The batch scan runs through the fleet coordinator (Framework.ScanEngine);
+// these tests pin the per-image semantics this package's types describe.
+
+// testFleet returns learned knowledge plus a target fleet whose image at
+// index corruptAt (if >= 0) fails assembly with a parse error.
+func testFleet(t *testing.T, n, corruptAt int) (*encore.Framework, *encore.Knowledge, []*sysimage.Image) {
 	t.Helper()
 	training, err := corpus.Training("mysql", 10, 5)
 	if err != nil {
@@ -50,16 +54,22 @@ func fleet(t *testing.T, n, corruptAt int) (*encore.Framework, *encore.Knowledge
 	return fw, k, targets
 }
 
+// collect scans resident targets through the framework's scan engine.
+func collect(t *testing.T, coord *fleet.Coordinator, targets []*sysimage.Image) *scan.Result {
+	t.Helper()
+	res, _, err := coord.Collect(context.Background(), &fleet.ImageSource{Images: targets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestBatchFaultIsolation is the acceptance-criterion test: a batch over a
 // corpus containing one corrupt image returns findings for every other
 // image plus exactly one ScanError.
 func TestBatchFaultIsolation(t *testing.T) {
-	fw, k, targets := fleet(t, 6, 2)
-	eng := fw.ScanEngine(k)
-	res, err := eng.Scan(targets)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fw, k, targets := testFleet(t, 6, 2)
+	res := collect(t, fw.ScanEngine(fw.CompilePlan(k)), targets)
 	if len(res.Items) != len(targets) {
 		t.Fatalf("items = %d, want %d", len(res.Items), len(targets))
 	}
@@ -86,45 +96,53 @@ func TestBatchFaultIsolation(t *testing.T) {
 	}
 }
 
-// TestStrictFailFast checks the historical behaviour is preserved behind
-// Strict: the corrupt image aborts the whole batch.
+// TestStrictFailFast pins the fail-fast pattern `encore scan -strict`
+// builds on the coordinator: a sink that records the lowest failing index
+// and cancels the run ends up holding the corrupt image's ScanError, and
+// the run stops instead of reporting an error of its own.
 func TestStrictFailFast(t *testing.T) {
-	fw, k, targets := fleet(t, 6, 2)
-	eng := fw.ScanEngine(k)
-	eng.Strict = true
-	res, err := eng.Scan(targets)
-	if err == nil {
-		t.Fatal("strict scan of corrupt fleet should fail")
+	fw, k, targets := testFleet(t, 6, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var (
+		mu      sync.Mutex
+		failed  *scan.ScanError
+		failIdx int
+	)
+	_, err := fw.ScanEngine(fw.CompilePlan(k)).Run(ctx, &fleet.ImageSource{Images: targets}, func(idx int, it scan.Item) {
+		mu.Lock()
+		defer mu.Unlock()
+		if it.Err != nil && (failed == nil || idx < failIdx) {
+			failed, failIdx = it.Err, idx
+			cancel()
+		}
+	})
+	if err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("run error = %v, want nil or context.Canceled", err)
 	}
-	if res != nil {
-		t.Fatal("strict failure should not return a partial result")
-	}
-	var se *scan.ScanError
-	if !errors.As(err, &se) || se.ImageID != "target-002" {
-		t.Fatalf("error = %v, want ScanError for target-002", err)
+	if failed == nil || failed.ImageID != "target-002" || failIdx != 2 {
+		t.Fatalf("first failure = %v at %d, want ScanError for target-002 at 2", failed, failIdx)
 	}
 }
 
 // TestScanCleanFleet checks the no-error path across worker counts.
 func TestScanCleanFleet(t *testing.T) {
-	fw, k, targets := fleet(t, 5, -1)
+	fw, k, targets := testFleet(t, 5, -1)
+	plan := fw.CompilePlan(k)
 	for _, workers := range []int{0, 1, 4} {
-		eng := fw.ScanEngine(k)
-		eng.Workers = workers
-		res, err := eng.Scan(targets)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		coord := fw.ScanEngine(plan)
+		coord.Opts.Workers = workers
+		res := collect(t, coord, targets)
 		if len(res.Errors()) != 0 || len(res.Reports()) != len(targets) {
 			t.Fatalf("workers=%d: unexpected result shape", workers)
 		}
 	}
 }
 
-// TestScanDirIsolatesDecodeErrors checks ScanDir treats an undecodable
-// image file like any other per-image failure.
+// TestScanDirIsolatesDecodeErrors checks a directory scan treats an
+// undecodable image file like any other per-image failure.
 func TestScanDirIsolatesDecodeErrors(t *testing.T) {
-	fw, k, targets := fleet(t, 4, -1)
+	fw, k, targets := testFleet(t, 4, -1)
 	dir := t.TempDir()
 	if err := sysimage.SaveDir(dir, targets); err != nil {
 		t.Fatal(err)
@@ -132,8 +150,11 @@ func TestScanDirIsolatesDecodeErrors(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "corrupt.json"), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	eng := fw.ScanEngine(k)
-	res, err := eng.ScanDir(dir)
+	src, err := fleet.NewDirSource(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := fw.ScanEngine(fw.CompilePlan(k)).Collect(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +167,6 @@ func TestScanDirIsolatesDecodeErrors(t *testing.T) {
 	}
 	if len(res.Reports()) != len(targets) {
 		t.Fatalf("reports = %d, want %d", len(res.Reports()), len(targets))
-	}
-
-	eng.Strict = true
-	if _, err := eng.ScanDir(dir); err == nil {
-		t.Fatal("strict ScanDir should fail on the corrupt file")
 	}
 }
 
@@ -182,14 +198,11 @@ func TestSummarize(t *testing.T) {
 
 // TestScanTelemetry verifies the batch counters.
 func TestScanTelemetry(t *testing.T) {
-	fw, k, targets := fleet(t, 5, 1)
+	fw, k, targets := testFleet(t, 5, 1)
 	rec := telemetry.New()
-	eng := fw.ScanEngine(k)
-	eng.Telemetry = rec
-	res, err := eng.Scan(targets)
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := fw.ScanEngine(fw.CompilePlan(k))
+	coord.Opts.Telemetry = rec
+	res := collect(t, coord, targets)
 	if got := rec.Counter(telemetry.CounterImagesScanned); got != 5 {
 		t.Fatalf("images scanned = %d, want 5", got)
 	}
@@ -207,20 +220,19 @@ func TestScanTelemetry(t *testing.T) {
 
 // TestScanTelemetrySpansAndHistogram verifies the batch records per-image
 // scan latencies into the histogram, emits a span tree rooted at
-// scan.batch with per-worker and per-image children, and steps the
-// progress reporter once per image.
+// scan.batch with one child per worker and no per-image spans (span
+// count stays O(workers) at any fleet size), and steps the progress
+// reporter once per image.
 func TestScanTelemetrySpansAndHistogram(t *testing.T) {
-	fw, k, targets := fleet(t, 5, -1)
+	fw, k, targets := testFleet(t, 5, -1)
 	rec := telemetry.New()
-	eng := fw.ScanEngine(k)
-	eng.Telemetry = rec
-	eng.Workers = 2
+	coord := fw.ScanEngine(fw.CompilePlan(k))
+	coord.Opts.Telemetry = rec
+	coord.Opts.Workers = 2
 	var buf bytes.Buffer
 	p := telemetry.NewProgress(&buf, "scan", len(targets), time.Hour)
-	eng.Progress = p
-	if _, err := eng.Scan(targets); err != nil {
-		t.Fatal(err)
-	}
+	coord.Opts.Progress = p
+	collect(t, coord, targets)
 	p.Stop()
 	if !strings.Contains(buf.String(), "scan: 5/5 images") {
 		t.Fatalf("progress output = %q", buf.String())
@@ -244,8 +256,6 @@ func TestScanTelemetrySpansAndHistogram(t *testing.T) {
 	}
 
 	var rootID int64
-	workers, images := 0, 0
-	workerIDs := map[int64]bool{}
 	for _, sp := range snap.Spans {
 		if sp.Name == "scan.batch" {
 			rootID = sp.ID
@@ -254,42 +264,29 @@ func TestScanTelemetrySpansAndHistogram(t *testing.T) {
 	if rootID == 0 {
 		t.Fatalf("no scan.batch root span; spans = %+v", snap.Spans)
 	}
+	workers := 0
 	for _, sp := range snap.Spans {
-		if sp.Name == "scan.worker" {
+		switch sp.Name {
+		case "scan.worker":
 			workers++
-			workerIDs[sp.ID] = true
 			if sp.Parent != rootID {
 				t.Fatalf("worker span parent = %d, want %d", sp.Parent, rootID)
 			}
+		case "scan.batch":
+		default:
+			t.Fatalf("unexpected span %q: the batch records only the root and worker spans", sp.Name)
 		}
 	}
-	for _, sp := range snap.Spans {
-		if sp.Name != "scan.image" {
-			continue
-		}
-		images++
-		if !workerIDs[sp.Parent] {
-			t.Fatalf("image span parent %d is not a worker span", sp.Parent)
-		}
-		found := false
-		for _, a := range sp.Attrs {
-			if a.Key == "image" && strings.HasPrefix(a.Value, "target-") {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("image span lacks image attr: %+v", sp)
-		}
-	}
-	if workers != 2 || images != 5 {
-		t.Fatalf("workers=%d images=%d, want 2 and 5", workers, images)
+	if workers != 2 {
+		t.Fatalf("worker spans = %d, want 2", workers)
 	}
 }
 
-// TestEngineRequiresCheck pins the misuse error.
+// TestEngineRequiresCheck pins the misuse error: a scan engine with no
+// Check function refuses to run.
 func TestEngineRequiresCheck(t *testing.T) {
-	eng := &scan.Engine{}
-	if _, err := eng.Scan(nil); err == nil {
+	coord := &fleet.Coordinator{}
+	if _, err := coord.Run(context.Background(), &fleet.ImageSource{}, func(int, scan.Item) {}); err == nil {
 		t.Fatal("engine without Check should error")
 	}
 }
@@ -317,9 +314,9 @@ func (m *memNotifier) alerts() []alert.Alert {
 
 // TestScanPublishesAlerts: every warning a batch scan emits must reach
 // the alert pipeline carrying the batch request ID (generated when the
-// engine has none) and the engine's plan-version provenance.
+// caller supplies none) and the plan-version provenance.
 func TestScanPublishesAlerts(t *testing.T) {
-	fw, k, targets := fleet(t, 3, -1)
+	fw, k, targets := testFleet(t, 3, -1)
 	if _, err := inject.New(7).Inject(targets[0], "mysql", 5); err != nil {
 		t.Fatal(err)
 	}
@@ -329,13 +326,11 @@ func TestScanPublishesAlerts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := fw.ScanEngine(k)
-	eng.Alerts = pipe
-	eng.PlanVersion = "plan:test.plan"
-	res, err := eng.Scan(targets)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := fw.CompilePlan(k)
+	coord := fw.ScanEngine(plan)
+	coord.Opts.Alerts = pipe
+	coord.Opts.PlanVersion = "plan:test.plan"
+	res := collect(t, coord, targets)
 	if err := pipe.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -369,18 +364,16 @@ func TestScanPublishesAlerts(t *testing.T) {
 		t.Fatalf("pipeline stats = %+v, want %d published and delivered", s, warnings)
 	}
 
-	// An explicit engine request ID flows through unchanged.
+	// An explicit request ID flows through unchanged.
 	mem2 := &memNotifier{}
 	pipe2, err := alert.NewPipeline(alert.Options{Notifiers: []alert.Notifier{mem2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2 := fw.ScanEngine(k)
-	eng2.Alerts = pipe2
-	eng2.RequestID = "batch-42"
-	if _, err := eng2.Scan(targets); err != nil {
-		t.Fatal(err)
-	}
+	coord2 := fw.ScanEngine(plan)
+	coord2.Opts.Alerts = pipe2
+	coord2.Opts.RequestID = "batch-42"
+	collect(t, coord2, targets)
 	if err := pipe2.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -50,7 +51,8 @@ type batchSummary struct {
 // record. The fleet comes from ?dir= (a server-local image directory),
 // ?dir=&synthetic=N (a synthetic fleet cycling that directory's images),
 // or the request body (NDJSON, one image document per line). ?shards= and
-// ?workers= tune the coordinator. Every finding feeds the alert pipeline
+// ?workers= tune the coordinator, each clamped to maxBatchTopology so one
+// request cannot start a goroutine per image. Every finding feeds the alert pipeline
 // with per-image provenance (image ID, request ID, plan version). Client
 // disconnect cancels the fleet promptly.
 func (d *Daemon) handleScanBatch(w http.ResponseWriter, r *http.Request, rc *reqCtx) {
@@ -69,6 +71,7 @@ func (d *Daemon) handleScanBatch(w http.ResponseWriter, r *http.Request, rc *req
 	rc.Span.SetAttr("images", strconv.Itoa(src.Len()))
 	shards, _ := strconv.Atoi(r.URL.Query().Get("shards"))
 	workers, _ := strconv.Atoi(r.URL.Query().Get("workers"))
+	shards, workers = min(shards, maxBatchTopology()), min(workers, maxBatchTopology())
 	if d.opts.ScanHook != nil {
 		d.opts.ScanHook(rc.App)
 	}
@@ -138,6 +141,11 @@ func (d *Daemon) handleScanBatch(w http.ResponseWriter, r *http.Request, rc *req
 		flusher.Flush()
 	}
 }
+
+// maxBatchTopology bounds a batch request's ?shards= and ?workers=: past
+// a few goroutines per core more workers only add scheduling overhead,
+// while an unbounded knob lets one client spawn a goroutine per image.
+func maxBatchTopology() int { return 4 * runtime.GOMAXPROCS(0) }
 
 // batchSource resolves the request's fleet: a server-local directory, a
 // synthetic fleet cycling it, or inline NDJSON image documents.

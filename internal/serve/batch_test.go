@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
 
@@ -224,5 +226,38 @@ func TestBatchScanDirAndSynthetic(t *testing.T) {
 	}
 	if status, _, _ := postBatch(t, base+"/v1/scan/mysql/batch", nil); status != http.StatusBadRequest {
 		t.Fatalf("empty batch status = %d", status)
+	}
+}
+
+// TestBatchTopologyClamped: a client-chosen ?workers=/?shards= cannot
+// start a goroutine per image. Over a synthetic fleet a little larger than
+// the server-side ceiling (4 × GOMAXPROCS), absurd requests resolve to the
+// ceiling itself.
+func TestBatchTopologyClamped(t *testing.T) {
+	d, base := startDaemon(t, serve.Options{Rec: telemetry.New()})
+	if _, err := d.Registry().Register("mysql", "", buildPlan(t, "mysql", 30, 19), "test"); err != nil {
+		t.Fatal(err)
+	}
+	victims, err := corpus.Training("mysql", 2, 321)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := sysimage.SaveDir(dir, victims); err != nil {
+		t.Fatal(err)
+	}
+	ceiling := 4 * runtime.GOMAXPROCS(0)
+	n := ceiling + 5
+	url := fmt.Sprintf("%s/v1/scan/mysql/batch?dir=%s&synthetic=%d&workers=1000000&shards=1000000", base, dir, n)
+	status, lines, summary := postBatch(t, url, nil)
+	if status != http.StatusOK || summary == nil {
+		t.Fatalf("status=%d summary=%v", status, summary)
+	}
+	if len(lines) != n || summary.Images != int64(n) {
+		t.Fatalf("fleet shape: lines=%d summary=%+v, want %d images", len(lines), summary, n)
+	}
+	if summary.Workers != ceiling || summary.Shards != ceiling {
+		t.Fatalf("topology = %d shards, %d workers; want both clamped to %d",
+			summary.Shards, summary.Workers, ceiling)
 	}
 }

@@ -25,6 +25,10 @@ import (
 // DefaultMaxBodyBytes caps scan and profile upload bodies.
 const DefaultMaxBodyBytes = 64 << 20
 
+// readHeaderTimeout is the daemon's header-read deadline (the slowloris
+// guard shared with the telemetry server); tests shorten it.
+var readHeaderTimeout = telemetry.ReadHeaderTimeout
+
 // Options configures a Daemon.
 type Options struct {
 	// Addr is the listen address ("127.0.0.1:0" picks a free port).
@@ -117,7 +121,7 @@ func New(opts Options) (*Daemon, error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
-	d.srv = &http.Server{Handler: mux}
+	d.srv = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		defer close(d.done)
 		if err := d.srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -762,6 +763,30 @@ func TestShutdownDrainsAlertPipeline(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:n])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestDaemonClosesSlowHeaders is the slowloris guard: a client that
+// sends half a request header and then stalls is disconnected once the
+// header-read deadline passes instead of pinning the connection.
+func TestDaemonClosesSlowHeaders(t *testing.T) {
+	defer serve.SetReadHeaderTimeout(100 * time.Millisecond)()
+	d, _ := startDaemon(t, serve.Options{Rec: telemetry.New()})
+	conn, err := net.Dial("tcp", d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/scan/mysql HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := conn.Read(make([]byte, 1))
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("half-written header held the connection open past 5s")
+	}
+	if err == nil {
+		t.Fatalf("daemon answered a half-written header (%d bytes) instead of closing", n)
 	}
 }
 

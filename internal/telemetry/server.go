@@ -11,6 +11,15 @@ import (
 	"time"
 )
 
+// ReadHeaderTimeout bounds how long a client may take to send its request
+// headers, on this live metrics service and on the serve daemon alike: a
+// slowloris client trickling a half-written header is disconnected
+// instead of pinning a connection and its goroutine indefinitely.
+const ReadHeaderTimeout = 10 * time.Second
+
+// readHeaderTimeout is the value NewServer applies; tests shorten it.
+var readHeaderTimeout = ReadHeaderTimeout
+
 // Server is the live observability endpoint for a running pipeline. It
 // serves, rendered fresh from the attached recorder on every request:
 //
@@ -58,7 +67,7 @@ func NewServer(addr string, rec *Recorder) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.srv = &http.Server{Handler: mux}
+	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		defer close(s.done)
 		if err := s.srv.Serve(ln); err != nil && err != http.ErrServerClosed {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"runtime"
 	"strings"
@@ -166,5 +167,44 @@ func TestServeStackNoGoroutineLeak(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:n])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestServerClosesSlowHeaders is the slowloris guard: a client that sends
+// half a request header and then stalls must be disconnected once the
+// header-read deadline passes, not hold the connection open.
+func TestServerClosesSlowHeaders(t *testing.T) {
+	old := readHeaderTimeout
+	readHeaderTimeout = 100 * time.Millisecond
+	defer func() { readHeaderTimeout = old }()
+	srv, err := NewServer("127.0.0.1:0", New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	requireSlowHeaderClosed(t, srv.Addr())
+}
+
+// requireSlowHeaderClosed writes a header with no terminating blank line
+// to addr and requires the server to close the connection well before the
+// client's own 5s read deadline.
+func requireSlowHeaderClosed(t *testing.T, addr string) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	n, err := conn.Read(make([]byte, 1))
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("half-written header held the connection open for %v", time.Since(start))
+	}
+	if err == nil {
+		t.Fatalf("server answered a half-written header (%d bytes) instead of closing", n)
 	}
 }

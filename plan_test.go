@@ -1,6 +1,7 @@
 package encore
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/detect"
+	"repro/internal/fleet"
 	"repro/internal/inject"
 	"repro/internal/sysimage"
 )
@@ -235,8 +237,9 @@ func TestPlanAugmentedEntryNameCollision(t *testing.T) {
 	}
 }
 
-// TestScanEngineMatchesPerImageCheck pins that the batch engine (which
-// runs the compiled plan) returns the same reports as per-image Check.
+// TestScanEngineMatchesPerImageCheck pins that the batch scan engine (the
+// fleet coordinator running the compiled plan) returns the same reports
+// as per-image Check.
 func TestScanEngineMatchesPerImageCheck(t *testing.T) {
 	training, err := corpus.Training("apache", 12, 4)
 	if err != nil {
@@ -248,7 +251,7 @@ func TestScanEngineMatchesPerImageCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	targets := equivalenceTargets(t, "apache", 4)
-	res, err := fw.ScanEngine(k).Scan(targets)
+	res, _, err := fw.ScanEngine(fw.CompilePlan(k)).Collect(context.Background(), &fleet.ImageSource{Images: targets})
 	if err != nil {
 		t.Fatal(err)
 	}
